@@ -24,7 +24,7 @@
    ratio gate — soak cost scales with N and would make the gate a
    host-speed lottery.
 
-   Usage: fleet.exe [--engine interp|compiled|bytecode] [--shards K]
+   Usage: fleet.exe [--engine interp|bytecode] [--shards K]
                     [--soak [N]] [n] [seed] [jobs]
                     [min_ratio; 0 disables] *)
 

@@ -181,14 +181,14 @@ let compute_cell ~engine (c : cell) coo st : measurement =
   let machine = machine_of ~kernel ~threads c.c_hw in
   let variant = variant_of ~kernel c.c_vkind in
   let enc = Encoding.csr () in
+  let spec =
+    match kernel with `Spmv -> Driver.Spmv enc | `Spmm -> Driver.Spmm enc
+  in
   let r =
-    match kernel with
-    | `Spmv ->
-      Driver.spmv ~engine ~threads ~binary:e.Suite.binary ~st machine variant
-        enc coo
-    | `Spmm ->
-      Driver.spmm ~engine ~threads ~binary:e.Suite.binary ~st machine variant
-        enc coo
+    Driver.run
+      (Driver.Cfg.make ~engine ~threads ~binary:e.Suite.binary ~st ~machine
+         ~variant ())
+      spec coo
   in
   { m_name = e.Suite.name; m_group = e.Suite.group; m_nnz = r.Driver.nnz;
     m_throughput = Driver.throughput r;

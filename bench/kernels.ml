@@ -16,7 +16,7 @@
    Results go to stdout as JSON (tracked in BENCH_kernels.json by
    tools/kernel_smoke.sh @kernel-smoke).
 
-   Usage: kernels.exe [--engine interp|compiled|bytecode]
+   Usage: kernels.exe [--engine interp|bytecode]
                       [n] [seed] [jobs] [min_ratio; 0 disables] [updates] *)
 
 module Encoding = Asap_tensor.Encoding
@@ -92,9 +92,10 @@ let () =
     in
     let kk = sc.sc_kk in
     let run variant =
+      let cfg = Driver.Cfg.make ~engine ~machine ~variant in
       match sc.sc_kernel with
-      | `Spmv -> Driver.spmv ~engine machine variant sc.sc_enc coo
-      | `Sddmm -> Driver.sddmm ~engine ~kk machine variant sc.sc_enc coo
+      | `Spmv -> Driver.run (cfg ()) (Driver.Spmv sc.sc_enc) coo
+      | `Sddmm -> Driver.run (cfg ~n:kk ()) (Driver.Sddmm sc.sc_enc) coo
     in
     let base = run Pipeline.Baseline in
     let asap = run (Pipeline.Asap Asap_prefetch.Asap.default) in

@@ -277,7 +277,9 @@ let fig11 () =
       in
       let machine = machine_of ~kernel:`Spmv ~threads:1 Optimized in
       let enc = Encoding.csr () in
-      let run variant = Driver.spmv machine variant enc coo in
+      let run variant =
+        Driver.run (Driver.Cfg.make ~machine ~variant ()) (Driver.Spmv enc) coo
+      in
       let base = run Pipeline.Baseline in
       let seg =
         run (Pipeline.Asap
@@ -346,8 +348,9 @@ let ablation () =
   let coo = matrix e in
   let machine = machine_of ~kernel:`Spmv ~threads:1 Optimized in
   let enc = Encoding.csr () in
-  let tp variant =
-    Driver.throughput (Driver.spmv machine variant enc coo)
+  let tp ?(machine = machine) variant =
+    Driver.throughput
+      (Driver.run (Driver.Cfg.make ~machine ~variant ()) (Driver.Spmv enc) coo)
   in
   let base = tp Pipeline.Baseline in
 
@@ -383,10 +386,8 @@ let ablation () =
   let toggle label hw =
     let m = Machine.gracemont_scaled ~hw () in
     let t =
-      Driver.throughput
-        (Driver.spmv m
-           (Pipeline.Asap { Asap.default with Asap.distance = eval_distance })
-           enc coo)
+      tp ~machine:m
+        (Pipeline.Asap { Asap.default with Asap.distance = eval_distance })
     in
     Printf.printf "%-34s %12.0f nnz/ms\n%!" label t
   in
@@ -402,7 +403,11 @@ let ablation () =
   let spmm_e = Suite.find "GAP-twitter" in
   let coo = matrix spmm_e in
   let m = machine_of ~kernel:`Spmm ~threads:1 Optimized in
-  let tpm variant = Driver.throughput (Driver.spmm m variant enc coo) in
+  let tpm variant =
+    Driver.throughput
+      (Driver.run (Driver.Cfg.make ~machine:m ~variant ()) (Driver.Spmm enc)
+         coo)
+  in
   let b = tpm Pipeline.Baseline in
   let outer =
     tpm (Pipeline.Asap
@@ -424,7 +429,11 @@ let ablation () =
       ~nnz:(if !quick then 300_000 else 800_000) ()
   in
   let mt = Machine.gracemont_scaled ~hw:Machine.hw_optimized () in
-  let run variant = Driver.throughput (Driver.ttv mt variant t3) in
+  let run variant =
+    Driver.throughput
+      (Driver.run (Driver.Cfg.make ~machine:mt ~variant ()) (Driver.Ttv None)
+         t3)
+  in
   let bt = run Pipeline.Baseline in
   let at =
     run (Pipeline.Asap { Asap.default with Asap.distance = eval_distance })
@@ -450,7 +459,10 @@ let micro () =
   in
   let enc = Encoding.csr () in
   let st = Storage.pack enc coo in
-  let machine = Machine.gracemont_scaled () in
+  let cell_cfg =
+    Driver.Cfg.make ~machine:(Machine.gracemont_scaled ())
+      ~variant:Pipeline.Baseline ()
+  in
   let mk name f = Test.make ~name (Staged.stage f) in
   let tests =
     Test.make_grouped ~name:"asap"
@@ -466,9 +478,11 @@ let micro () =
               (Pipeline.compile (Kernel.spmv ~enc ())
                  (Pipeline.Ainsworth_jones Aj.default)));
         mk "f6-spmv-cell" (fun () ->
-            ignore (Driver.spmv machine Pipeline.Baseline enc coo));
+            ignore (Driver.run cell_cfg (Driver.Spmv enc) coo));
         mk "f8-spmm-cell" (fun () ->
-            ignore (Driver.spmm machine Pipeline.Baseline enc ~n:8 coo));
+            ignore
+              (Driver.run { cell_cfg with Driver.Cfg.n = Some 8 }
+                 (Driver.Spmm enc) coo));
         mk "t1-storage-iter" (fun () ->
             let n = ref 0 in
             Storage.iter (fun _ _ -> incr n) st) ]

@@ -12,7 +12,7 @@
       the same variant without unrolling, for baseline and asap
       pipelines.  Slack scheduling is likewise checked value-exact.
 
-   Usage: pipeline.exe [--engine interp|compiled|bytecode]
+   Usage: pipeline.exe [--engine interp|bytecode]
                        [rows] [avg_deg] [seed] [min_ratio; 0 disables] *)
 
 module Kernel = Asap_lang.Kernel

@@ -12,7 +12,7 @@
    Results go to stdout as JSON (tracked in BENCH_serve.json by
    tools/bench_smoke.sh @serve-smoke).
 
-   Usage: serve.exe [--engine interp|compiled|bytecode]
+   Usage: serve.exe [--engine interp|bytecode]
                     [--tune-mode sweep|model|hybrid]
                     [n] [seed] [jobs] [min_speedup; 0 disables] *)
 

@@ -23,7 +23,7 @@
    line per mode with the replay's counter-registry snapshot diff
    (includes the serve.tune.* and tune.model.* counters).
 
-   Usage: tune.exe [--engine interp|compiled|bytecode] [--records FILE]
+   Usage: tune.exe [--engine interp|bytecode] [--records FILE]
                    [n] [seed] [jobs] [min_ratio; 0 disables] *)
 
 module Coo = Asap_tensor.Coo

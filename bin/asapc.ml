@@ -100,9 +100,8 @@ let engine_arg =
   Arg.(value & opt engine_conv Exec.default_engine
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Execution engine: bytecode (flat bytecode with \
-                 superinstruction fusion, default), compiled (staged \
-                 closures) or interp (tree-walking reference). All three \
-                 are cycle-exact.")
+                 superinstruction fusion, default) or interp \
+                 (tree-walking reference). Both are cycle-exact.")
 
 let tune_mode_conv =
   let parse s =

@@ -30,7 +30,11 @@ let () =
       Printf.printf "=== %s ===\n\n" label;
       let d = Tuning.tune machine enc coo in
       print_string (Tuning.describe d);
-      let run v = Driver.throughput (Driver.spmv machine v enc coo) in
+      let run variant =
+        Driver.throughput
+          (Driver.run (Driver.Cfg.make ~machine ~variant ()) (Driver.Spmv enc)
+             coo)
+      in
       let tuned = run d.Tuning.chosen in
       let always = run (Pipeline.Asap Asap.default) in
       let base = run Pipeline.Baseline in

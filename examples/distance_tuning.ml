@@ -23,7 +23,10 @@ let () =
   in
   let machine = Machine.gracemont_scaled ~hw:Machine.hw_optimized () in
   let enc = Encoding.csr () in
-  let base = Driver.spmv machine Pipeline.Baseline enc coo in
+  let spmv variant =
+    Driver.run (Driver.Cfg.make ~machine ~variant ()) (Driver.Spmv enc) coo
+  in
+  let base = spmv Pipeline.Baseline in
   Printf.printf "baseline: %.0f nnz/ms at %.1f L2 MPKI\n\n"
     (Driver.throughput base) (Driver.mpki base);
   Printf.printf "%-10s %10s %12s %12s %12s\n" "distance" "speedup" "sw-pf"
@@ -31,9 +34,7 @@ let () =
   List.iter
     (fun d ->
       let r =
-        Driver.spmv machine
-          (Pipeline.Asap { Asap.default with Asap.distance = d })
-          enc coo
+        spmv (Pipeline.Asap { Asap.default with Asap.distance = d })
       in
       assert (Driver.check_spmv coo r < 1e-9);
       let mem = r.Driver.report.Exec.rp_mem in

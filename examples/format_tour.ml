@@ -61,7 +61,11 @@ let () =
       end;
       (* Every format computes the same result. *)
       let machine = Machine.gracemont_scaled () in
-      let r = Driver.spmv machine (Pipeline.Asap Asap.default) enc small in
+      let r =
+        Driver.run
+          (Driver.Cfg.make ~machine ~variant:(Pipeline.Asap Asap.default) ())
+          (Driver.Spmv enc) small
+      in
       assert (Driver.check_spmv small r < 1e-9);
       Printf.printf "SpMV on the simulator: OK (matches dense reference)\n\n")
     formats;

@@ -22,7 +22,10 @@ module Aj = Asap_prefetch.Ainsworth_jones
 module Suite = Asap_workloads.Suite
 
 let run_one machine name variant coo ~n =
-  let r = Driver.spmm machine variant (Encoding.csr ()) ~n coo in
+  let r =
+    Driver.run (Driver.Cfg.make ~n ~machine ~variant ())
+      (Driver.Spmm (Encoding.csr ())) coo
+  in
   let err = Driver.check_spmm coo ~n r in
   if err > 1e-6 then failwith "SpMM result mismatch";
   (name, Driver.throughput r, Driver.mpki r, r)

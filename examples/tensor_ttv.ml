@@ -40,7 +40,10 @@ let () =
   let base = ref 0. in
   List.iter
     (fun (vn, v) ->
-      let r = Driver.ttv machine v coo in
+      let r =
+        Driver.run (Driver.Cfg.make ~machine ~variant:v ()) (Driver.Ttv None)
+          coo
+      in
       let err = Driver.check_ttv coo r in
       if err > 1e-9 then failwith "TTV result mismatch";
       let tp = Driver.throughput r in

@@ -29,8 +29,7 @@ let mpki r = Exec.l2_mpki r.report
 (** Run configuration: everything about {e how} to execute a kernel —
     machine, code variant, engine, parallelism, operand flavour and
     observability sink — leaving {!run} to say {e what} to execute.
-    Build with {!Cfg.make}; the optional-argument kernel entry points
-    ({!spmv} etc.) are thin wrappers over this. *)
+    Build with {!Cfg.make}. *)
 module Cfg = struct
   type t = {
     machine : Machine.t;
@@ -104,10 +103,10 @@ let run_compiled ?spec ~engine ~obs (c : Pipeline.compiled) ~machine ~threads
       ~scalars
   end
 
-(* The kernel-specific assembly shared by the one-shot entry points and
-   {!Prep}: sparsify + prefetch-inject, pack storage, allocate outputs,
-   bind buffers, compute scalar arguments. Everything here is
-   run-independent — {!Prep} does it once and re-executes many times. *)
+(* The kernel-specific assembly shared by {!run} and {!Prep}: sparsify +
+   prefetch-inject, pack storage, allocate outputs, bind buffers, compute
+   scalar arguments. Everything here is run-independent — {!Prep} does it
+   once and re-executes many times. *)
 type assembled = {
   a_nnz : int;
   a_compiled : Pipeline.compiled;
@@ -231,37 +230,6 @@ let run_assembled (cfg : Cfg.t) (a : assembled) : result =
   in
   mk_result report a.a_nnz a.a_out_f a.a_out_b
 
-let run_spmv (cfg : Cfg.t) (enc : Encoding.t) (coo : Coo.t) : result =
-  run_assembled cfg (assemble_spmv cfg enc coo)
-
-let run_spmm (cfg : Cfg.t) (enc : Encoding.t) (coo : Coo.t) : result =
-  run_assembled cfg (assemble_spmm cfg enc coo)
-
-(** [sddmm ?engine ?kk machine variant enc coo] runs the sampled
-    dense-dense matrix product O(i,j) = S(i,j) * sum_k A(i,k)*B(k,j) over
-    the sparse sample [coo]; [kk] is the contraction depth (default 8). *)
-let sddmm ?engine ?kk ?st (machine : Machine.t)
-    (variant : Pipeline.variant) (enc : Encoding.t) (coo : Coo.t) : result =
-  let cfg = Cfg.make ?engine ?n:kk ?st ~machine ~variant () in
-  run_assembled cfg (assemble_sddmm cfg enc coo)
-
-(** [spmv ?engine ?threads ?binary ?st machine variant enc coo] packs
-    [coo] under [enc], compiles SpMV with [variant], and runs it. [st], if
-    given, must be [Storage.pack enc coo] — callers running several
-    variants over one matrix pass it to share the packing work. *)
-let spmv ?engine ?threads ?binary ?st (machine : Machine.t)
-    (variant : Pipeline.variant) (enc : Encoding.t) (coo : Coo.t) : result =
-  run_spmv (Cfg.make ?engine ?threads ?binary ?st ~machine ~variant ()) enc coo
-
-(** [spmm ?engine ?threads ?binary ?n machine variant enc coo] runs SpMM. The
-    dense operand has [n] columns — by default sized so one row fills one
-    cache line: 8 f64 columns, or 64 i8 columns for binary matrices
-    (paper §5.2). *)
-let spmm ?engine ?threads ?binary ?n ?st (machine : Machine.t)
-    (variant : Pipeline.variant) (enc : Encoding.t) (coo : Coo.t) : result =
-  run_spmm (Cfg.make ?engine ?threads ?binary ?n ?st ~machine ~variant ())
-    enc coo
-
 module Merge = Asap_sparsifier.Merge
 
 (* Resolve a Merge compiled function's parameters against two packed
@@ -342,19 +310,6 @@ let assemble_ttv (cfg : Cfg.t) (enc : Encoding.t option) (coo : Coo.t) :
     a_scalars = scalars; a_threads = 1; a_outer_extent = di;
     a_out_f = Some out; a_out_b = None }
 
-let run_ttv (cfg : Cfg.t) (enc : Encoding.t option) (coo : Coo.t) : result =
-  run_assembled cfg (assemble_ttv cfg enc coo)
-
-(** [ttv machine variant enc coo] runs the rank-3 tensor-times-vector
-    contraction a(i,j) = B(i,j,k) c(k); [enc] defaults to rank-3 CSF, where
-    the step-2 bound needs the full position-chain recursion (§3.2.2). *)
-let ttv ?engine ?enc (machine : Machine.t) (variant : Pipeline.variant)
-    (coo : Coo.t) : result =
-  run_ttv (Cfg.make ?engine ~machine ~variant ()) enc coo
-
-(** [run cfg spec coo] is the unified entry point: execute the kernel
-    named by [spec] on [coo] under configuration [cfg]. The per-kernel
-    entry points ({!spmv}, {!spmm}, {!ttv}) are thin wrappers over this. *)
 let assemble (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : assembled =
   match spec with
   | Spmv enc -> assemble_spmv cfg enc coo
@@ -362,15 +317,17 @@ let assemble (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : assembled =
   | Sddmm enc -> assemble_sddmm cfg enc coo
   | Ttv enc -> assemble_ttv cfg enc coo
 
+(** [run cfg spec coo] is the entry point: execute the kernel named by
+    [spec] on [coo] under configuration [cfg]. *)
 let run (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : result =
   run_assembled cfg (assemble cfg spec coo)
 
 (** A prepared kernel execution: sparsification, prefetch injection,
-    storage packing, buffer layout and (compiled engine) closure staging
-    all done once by {!Prep.make}; {!Prep.exec} then re-runs the kernel on
-    a fresh memory hierarchy per call. This is what the serve subsystem's
-    compile cache stores — repeat requests for the same fingerprint skip
-    straight to [exec]. *)
+    storage packing, buffer layout and (bytecode engine) program
+    assembly all done once by {!Prep.make}; {!Prep.exec} then re-runs the
+    kernel on a fresh memory hierarchy per call. This is what the serve
+    subsystem's compile cache stores — repeat requests for the same
+    fingerprint skip straight to [exec]. *)
 module Prep = struct
   type t = {
     p_cfg : Cfg.t;
@@ -420,42 +377,43 @@ module Prep = struct
     mk_result report a.a_nnz a.a_out_f a.a_out_b
 end
 
+(* Max absolute elementwise error of a numeric output against its
+   reference. *)
+let max_abs_err (got : float array) (expect : float array) : float =
+  let m = ref 0. in
+  Array.iteri
+    (fun i x ->
+      let d = Float.abs (x -. expect.(i)) in
+      if d > !m then m := d)
+    got;
+  !m
+
+(* 0 when a binary output matches its reference bit for bit, 1 otherwise. *)
+let binary_err (got : Bytes.t) (expect : int array) : float =
+  let ok = ref true in
+  Array.iteri (fun i e -> if Bytes.get_uint8 got i <> e then ok := false)
+    expect;
+  if !ok then 0. else 1.
+
+(* The binary dense operand as the reference functions take it. *)
+let dense_b_ints n =
+  let cb = dense_b n in
+  Array.init (Bytes.length cb) (Bytes.get_uint8 cb)
+
 (** [check_ttv coo r] is the max absolute error of a TTV run against the
     reference. *)
 let check_ttv (coo : Coo.t) (r : result) : float =
   match r.out_f with
   | None -> invalid_arg "check_ttv: binary TTV unsupported"
-  | Some a ->
-    let expect = Reference.ttv coo (dense_f coo.Coo.dims.(2)) in
-    let m = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let d = Float.abs (x -. expect.(i)) in
-        if d > !m then m := d)
-      a;
-    !m
+  | Some a -> max_abs_err a (Reference.ttv coo (dense_f coo.Coo.dims.(2)))
 
 (** [check_spmv coo r] compares an SpMV result against the reference;
     returns the max absolute error (0 for binary matches). *)
 let check_spmv (coo : Coo.t) (r : result) : float =
+  let cols = coo.Coo.dims.(1) in
   match (r.out_f, r.out_b) with
-  | Some a, _ ->
-    let expect = Reference.spmv coo (dense_f coo.Coo.dims.(1)) in
-    let m = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let d = Float.abs (x -. expect.(i)) in
-        if d > !m then m := d)
-      a;
-    !m
-  | None, Some b ->
-    let cb = dense_b coo.Coo.dims.(1) in
-    let c = Array.init (Bytes.length cb) (Bytes.get_uint8 cb) in
-    let expect = Reference.spmv_binary coo c in
-    let ok = ref true in
-    Array.iteri (fun i e -> if Bytes.get_uint8 b i <> e then ok := false)
-      expect;
-    if !ok then 0. else 1.
+  | Some a, _ -> max_abs_err a (Reference.spmv coo (dense_f cols))
+  | None, Some b -> binary_err b (Reference.spmv_binary coo (dense_b_ints cols))
   | None, None -> assert false
 
 (** [check_sddmm coo ~kk r] is the max absolute error of an SDDMM run
@@ -465,35 +423,14 @@ let check_sddmm (coo : Coo.t) ~kk (r : result) : float =
   | None -> invalid_arg "check_sddmm: binary SDDMM unsupported"
   | Some o ->
     let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-    let expect =
-      Reference.sddmm coo (dense_f (rows * kk)) (dense_f (kk * cols)) ~kk
-    in
-    let m = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let d = Float.abs (x -. expect.(i)) in
-        if d > !m then m := d)
-      o;
-    !m
+    max_abs_err o
+      (Reference.sddmm coo (dense_f (rows * kk)) (dense_f (kk * cols)) ~kk)
 
 (** [check_spmm coo ~n r] likewise for SpMM. *)
 let check_spmm (coo : Coo.t) ~n (r : result) : float =
+  let len = coo.Coo.dims.(1) * n in
   match (r.out_f, r.out_b) with
-  | Some a, _ ->
-    let expect = Reference.spmm coo (dense_f (coo.Coo.dims.(1) * n)) ~n in
-    let m = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let d = Float.abs (x -. expect.(i)) in
-        if d > !m then m := d)
-      a;
-    !m
+  | Some a, _ -> max_abs_err a (Reference.spmm coo (dense_f len) ~n)
   | None, Some b ->
-    let cb = dense_b (coo.Coo.dims.(1) * n) in
-    let c = Array.init (Bytes.length cb) (Bytes.get_uint8 cb) in
-    let expect = Reference.spmm_binary coo c ~n in
-    let ok = ref true in
-    Array.iteri (fun i e -> if Bytes.get_uint8 b i <> e then ok := false)
-      expect;
-    if !ok then 0. else 1.
+    binary_err b (Reference.spmm_binary coo (dense_b_ints len) ~n)
   | None, None -> assert false

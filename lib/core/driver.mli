@@ -74,15 +74,21 @@ type kernel_spec =
   | Sddmm of Encoding.t
   | Ttv of Encoding.t option
 
-(** [run cfg spec coo] is the unified entry point: execute the kernel
-    named by [spec] on [coo] under configuration [cfg]. The per-kernel
-    entry points below are thin wrappers over this. *)
+(** [run cfg spec coo] is the entry point: execute the kernel named by
+    [spec] on [coo] under configuration [cfg]. [cfg.engine] selects the
+    simulator's execution engine; [cfg.threads > 1] uses the
+    dense-outer-loop parallelisation (requires a dense top level; TTV
+    always runs single-threaded). [cfg.n] is SpMM's dense column count —
+    by default one cache line per dense row, 8 f64 or 64 i8 columns
+    (paper §5.2) — and SDDMM's contraction depth (default 8). [cfg.st],
+    if given, must be [Storage.pack enc coo] — callers running several
+    variants over one matrix pass it to share the packing work. *)
 val run : Cfg.t -> kernel_spec -> Coo.t -> result
 
 (** A prepared kernel execution: sparsification, prefetch injection,
-    storage packing, buffer layout and (compiled engine) closure staging
-    all done once by {!Prep.make}; {!Prep.exec} then re-runs the kernel
-    on a fresh memory hierarchy per call, returning results equal to
+    storage packing, buffer layout and (bytecode engine) program
+    assembly all done once by {!Prep.make}; {!Prep.exec} then re-runs the
+    kernel on a fresh memory hierarchy per call, returning results equal to
     {!run} in every field. This is the unit the serve subsystem's
     compile cache stores. *)
 module Prep : sig
@@ -102,35 +108,6 @@ module Prep : sig
   val exec : ?obs:Asap_obs.Sink.t -> t -> result
 end
 
-(** [spmv ?engine ?threads ?binary ?st machine variant enc coo] packs
-    [coo] under [enc], compiles SpMV with [variant] and runs it. [engine]
-    selects the simulator's execution engine (default
-    {!Exec.default_engine}); [threads > 1] uses the dense-outer-loop
-    parallelisation (requires a dense top level). [st], if given, must be
-    [Storage.pack enc coo] — callers running several variants over one
-    matrix pass it to share the packing work. *)
-val spmv :
-  ?engine:Exec.engine -> ?threads:int -> ?binary:bool ->
-  ?st:Asap_tensor.Storage.t -> Machine.t ->
-  Pipeline.variant -> Encoding.t -> Coo.t -> result
-
-(** [spmm ?threads ?binary ?n ?st machine variant enc coo] runs SpMM; [n]
-    defaults to one cache line per dense row — 8 f64 columns, or 64 i8
-    columns for binary matrices (paper §5.2). [st] as for {!spmv}. *)
-val spmm :
-  ?engine:Exec.engine -> ?threads:int -> ?binary:bool -> ?n:int ->
-  ?st:Asap_tensor.Storage.t -> Machine.t ->
-  Pipeline.variant -> Encoding.t -> Coo.t -> result
-
-(** [sddmm ?engine ?kk machine variant enc coo] runs the sampled
-    dense-dense matrix product O(i,j) = S(i,j) * sum_k A(i,k)*B(k,j) over
-    the sparse sample [coo]; [kk] is the contraction depth (default 8).
-    The dense contraction loop lowers innermost, inside the sparse (i,j)
-    co-iteration. *)
-val sddmm :
-  ?engine:Exec.engine -> ?kk:int -> ?st:Asap_tensor.Storage.t -> Machine.t ->
-  Pipeline.variant -> Encoding.t -> Coo.t -> result
-
 module Merge = Asap_sparsifier.Merge
 
 (** [vector_ewise machine op b c] merges two sparse vectors element-wise
@@ -143,13 +120,6 @@ val vector_ewise :
     by row into a dense row-major output. *)
 val matrix_ewise :
   ?engine:Exec.engine -> Machine.t -> Merge.op -> Coo.t -> Coo.t -> result
-
-(** [ttv ?enc machine variant coo] runs the rank-3 tensor-times-vector
-    contraction a(i,j) = B(i,j,k) c(k); [enc] defaults to rank-3 CSF,
-    exercising the full §3.2.2 position-chain bound recursion. *)
-val ttv :
-  ?engine:Exec.engine -> ?enc:Encoding.t -> Machine.t -> Pipeline.variant ->
-  Coo.t -> result
 
 (** [check_ttv coo r] is the max absolute error of a TTV run. *)
 val check_ttv : Coo.t -> result -> float

@@ -39,7 +39,7 @@ let bound_sym = function
   | Asap.Semantic -> "semantic"
   | Asap.Segment_local -> "segment"
 
-let spec_of_variant ?(optimize = false) (variant : variant) : string =
+let spec_of_variant (variant : variant) : string =
   let entry = { Spec.pi_name = "sparsify"; pi_params = [] } in
   let prefetch =
     match variant with
@@ -58,13 +58,7 @@ let spec_of_variant ?(optimize = false) (variant : variant) : string =
             [ ("d", Spec.Vint cfg.Aj.distance);
               ("l", Spec.Vint cfg.Aj.locality) ] } ]
   in
-  let opt =
-    if optimize then
-      [ { Spec.pi_name = "fold"; pi_params = [] };
-        { Spec.pi_name = "licm"; pi_params = [] } ]
-    else []
-  in
-  Spec.to_string ((entry :: prefetch) @ opt)
+  Spec.to_string (entry :: prefetch)
 
 type compiled = {
   cc : Emitter.compiled;        (* parameter layout and kernel metadata *)
@@ -73,12 +67,10 @@ type compiled = {
   n_prefetch_sites : int;       (* sites instrumented by the pipeline *)
 }
 
-let compile ?(optimize = false) ?pipeline ?registry (k : Kernel.t)
-    (variant : variant) : compiled =
+let compile ?pipeline ?registry (k : Kernel.t) (variant : variant) :
+    compiled =
   let spec =
-    match pipeline with
-    | Some p -> p
-    | None -> spec_of_variant ~optimize variant
+    match pipeline with Some p -> p | None -> spec_of_variant variant
   in
   let rs = Runner.resolve spec in
   let r = Runner.compile ?registry rs k in

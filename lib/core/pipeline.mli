@@ -17,10 +17,9 @@ type variant =
 
 val variant_name : variant -> string
 
-(** [spec_of_variant ?optimize v] is the pipeline spec [compile] runs for
-    [v]: ["sparsify"], ["sparsify,asap{..}"] or ["sparsify,aj{..}"], with
-    [",fold,licm"] appended when [optimize] is set. *)
-val spec_of_variant : ?optimize:bool -> variant -> string
+(** [spec_of_variant v] is the pipeline spec [compile] runs for [v]:
+    ["sparsify"], ["sparsify,asap{..}"] or ["sparsify,aj{..}"]. *)
+val spec_of_variant : variant -> string
 
 type compiled = {
   cc : Emitter.compiled;       (** parameter layout and kernel metadata *)
@@ -29,17 +28,15 @@ type compiled = {
   n_prefetch_sites : int;      (** sites instrumented by the pipeline *)
 }
 
-(** [compile ?optimize ?pipeline ?registry k variant] lowers kernel [k]
-    through the variant's pipeline spec; the generated IR is always
-    verified.  [pipeline] overrides the variant's spec entirely (it must
-    start with an entry pass, e.g. ["sparsify,asap{d=16},unroll{f=4}"]).
-    [optimize] is a deprecated alias for appending [",fold,licm"] to the
-    variant's spec; it is ignored when [pipeline] is given.  [registry]
-    receives per-pass [pass.<name>.runs/.rewrites/.ns] counters.
+(** [compile ?pipeline ?registry k variant] lowers kernel [k] through the
+    variant's pipeline spec; the generated IR is always verified.
+    [pipeline] overrides the variant's spec entirely (it must start with
+    an entry pass, e.g. ["sparsify,asap{d=16},unroll{f=4},fold,licm"]).
+    [registry] receives per-pass [pass.<name>.runs/.rewrites/.ns] counters.
     @raise Invalid_argument on an invalid [pipeline] spec. *)
 val compile :
-  ?optimize:bool -> ?pipeline:string -> ?registry:Asap_obs.Registry.t ->
-  Kernel.t -> variant -> compiled
+  ?pipeline:string -> ?registry:Asap_obs.Registry.t -> Kernel.t -> variant ->
+  compiled
 
 (** [listing c] is the MLIR-flavoured text of the final function. *)
 val listing : compiled -> string

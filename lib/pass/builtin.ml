@@ -1,7 +1,11 @@
 (* The built-in pass set: the existing lowering stages re-expressed as
-   registered passes, plus the new unrolling and prefetch-slack
-   transforms.  [ensure] is idempotent and called by every entry point
-   that consults the registry, so linking this module suffices. *)
+   registered passes, plus the unrolling and prefetch-slack transforms.
+
+   Registration runs once, when this module is initialised at program
+   start — before any domain can be spawned — so the first registry
+   lookup from any domain always sees the complete set.  Entry points
+   that consult the registry call [ensure] only to keep this module
+   linked. *)
 
 module Asap = Asap_prefetch.Asap
 module Aj = Asap_prefetch.Ainsworth_jones
@@ -34,17 +38,12 @@ let asap_config (ps : Pass.params) : Asap.config =
        | _ -> Asap.Semantic);
     step1 = Pass.psym ps "step1" = "true" }
 
-let registered = ref false
-
-let ensure () =
-  if not !registered then begin
-    registered := true;
-    Pass.register
-      { Pass.name = "sparsify";
+let () =
+  List.iter Pass.register
+    [ { Pass.name = "sparsify";
         doc = "lower the kernel to verified imperative IR (entry pass)";
         params = []; counts_sites = false;
         kind = Pass.Entry (fun _ps ?hook k -> Sparsify.run ?hook k) };
-    Pass.register
       { Pass.name = "asap";
         doc = "ASaP prefetch injection during sparsification (paper 3.2)";
         params =
@@ -60,7 +59,6 @@ let ensure () =
               [ "true"; "false" ] ];
         counts_sites = false;
         kind = Pass.Hook (fun ps -> Asap.hook (asap_config ps)) };
-    Pass.register
       { Pass.name = "aj";
         doc = "Ainsworth-Jones post-hoc prefetch pass (prior art)";
         params =
@@ -78,7 +76,6 @@ let ensure () =
               in
               let fn, stats = Aj.run ~cfg fn in
               (fn, stats.Aj.matched_sites)) };
-    Pass.register
       { Pass.name = "fold";
         doc = "constant folding and algebraic simplification";
         params = []; counts_sites = false;
@@ -87,7 +84,6 @@ let ensure () =
             (fun _ps fn ->
               let fn, stats = Fold.run fn in
               (fn, stats.Fold.folded)) };
-    Pass.register
       { Pass.name = "licm";
         doc = "loop-invariant code motion";
         params = []; counts_sites = false;
@@ -96,7 +92,6 @@ let ensure () =
             (fun _ps fn ->
               let fn, stats = Licm.run fn in
               (fn, stats.Licm.hoisted)) };
-    Pass.register
       { Pass.name = "unroll";
         doc = "unroll innermost constant-step loops (value-exact)";
         params = [ int_param "f" "unroll factor" 4 ];
@@ -106,7 +101,6 @@ let ensure () =
             (fun ps fn ->
               let fn, stats = Unroll.run ~factor:(Pass.pint ps "f") fn in
               (fn, stats.Unroll.unrolled)) };
-    Pass.register
       { Pass.name = "slack";
         doc = "hoist prefetches earlier within their verified bound";
         params = [ int_param "max" "maximum hoist distance in statements" 8 ];
@@ -115,5 +109,6 @@ let ensure () =
           Pass.Ir_pass
             (fun ps fn ->
               let fn, stats = Slack.run ~max_dist:(Pass.pint ps "max") fn in
-              (fn, stats.Slack.moved)) }
-  end
+              (fn, stats.Slack.moved)) } ]
+
+let ensure () = ()

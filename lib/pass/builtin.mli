@@ -1,6 +1,8 @@
 (** The built-in pass set.
 
-    [ensure ()] registers (idempotently) the standard passes:
+    The standard passes are registered when this module is initialised,
+    at program start and before any domain exists, so concurrent first
+    lookups never observe a partial registry:
 
     - [sparsify] — the entry pass, kernel -> verified IR;
     - [asap] — ASaP prefetch-injection hook
@@ -11,7 +13,9 @@
     - [unroll] — innermost-loop unrolling ([f]);
     - [slack] — prefetch-slack scheduling ([max]).
 
-    Every entry point that consults the registry calls this first, so
+    Every entry point that consults the registry calls {!ensure}, so
     user code never needs to. *)
 
+(** [ensure ()] does nothing at run time; referencing it keeps this
+    module, and hence its registrations, linked. *)
 val ensure : unit -> unit

@@ -2,7 +2,7 @@
 
    An entry holds everything a fingerprint's repeat requests reuse:
    the prepared execution (sparsified + prefetch-injected IR, packed
-   storage, simulated address layout, staged closure — {!Driver.Prep}),
+   storage, simulated address layout, bytecode — {!Driver.Prep}),
    the tuning decision when the request asked for [`Tuned], and the
    canonical result of one cold execution. The simulator is
    deterministic, so every execution of the same preparation yields an

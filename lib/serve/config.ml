@@ -1,21 +1,14 @@
 (* The unified serving configuration.
 
-   Before the fleet, serve knobs were scattered: [Scheduler.cfg] held
-   the queue/cache shape, the CLI re-plumbed tune-mode overrides by
-   rewriting requests, and the bench layer patched record fields
-   inline. [Config.t] consolidates the whole entry-point surface —
-   fleet width, per-shard capacity, per-tenant admission quotas, engine
-   and tune-mode overrides, deadline policy, host parallelism — into
-   one record with [default] plus [with_*] builders, mirroring
+   [Config.t] names the whole entry-point surface — fleet width,
+   per-shard capacity, per-tenant admission quotas, engine and
+   tune-mode overrides, deadline policy, host parallelism — in one
+   record with [default] plus [with_*] builders, mirroring
    [Driver.Cfg]'s role for single executions. [Scheduler.run] consumes
-   it; the old [Scheduler.cfg]/[replay] surface survives as a
-   deprecated wrapper over this record.
+   it.
 
-   [default] is a one-shard fleet identical to the historical
-   single-scheduler defaults (2 servers, queue 64, cache 128, 0.05 ms
-   compile penalty, batching on, sequential build), so migrating a
-   caller is mechanical: [Scheduler.replay { default_cfg with jobs }]
-   becomes [Scheduler.run Config.(with_jobs jobs default)]. *)
+   [default] is a one-shard fleet: 2 servers, queue 64, cache 128,
+   0.05 ms compile penalty, batching on, sequential build. *)
 
 module Exec = Asap_sim.Exec
 module Tuning = Asap_core.Tuning

@@ -4,11 +4,7 @@
     policy and host parallelism — consumed by {!Scheduler.run} and
     threaded through [asapc serve]/[genreqs] and [bench/serve]. Mirrors
     {!Asap_core.Driver.Cfg}'s role for single executions: [default]
-    plus [with_*] builders instead of scattered knobs.
-
-    Migration from the old surface: the historical [Scheduler.cfg]
-    record still compiles through the deprecated {!Scheduler.replay}
-    wrapper; new code writes
+    plus [with_*] builders instead of scattered knobs, e.g.
     [Scheduler.run Config.(default |> with_jobs 4 |> with_shards 8)]. *)
 
 module Exec = Asap_sim.Exec

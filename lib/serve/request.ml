@@ -141,7 +141,7 @@ let deadline_ms (r : t) (machine : Machine.t) : float option =
   | Some (Cycles c) -> Some (r.arrival_ms +. Machine.cycles_to_ms machine c)
 
 (** [fingerprint r] is the canonical cache key: every field that affects
-    the built artefact (sparsified IR, compiled closure, tuning
+    the built artefact (sparsified IR, bytecode program, tuning
     decision) and nothing that doesn't (id, arrival, deadline). Equal
     fingerprints are servable by one cache entry — the tenant is
     scheduling metadata like id and arrival, so tenants share entries. *)

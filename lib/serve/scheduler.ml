@@ -5,8 +5,8 @@
 
    Pass 1 (host time, parallel): the set of distinct fingerprints is
    collected in sorted order and each entry is built once on a {!Par}
-   domain pool — sparsify, prefetch-inject, pack, lay out, stage the
-   closure, tune if asked, and run once cold. Results land in
+   domain pool — sparsify, prefetch-inject, pack, lay out, assemble the
+   bytecode, tune if asked, and run once cold. Results land in
    index-slotted arrays, so this pass is deterministic for any [jobs].
    With more than one shard the keys are grouped by their home shard
    (consistent hash of the fingerprint) and each group builds on its
@@ -40,8 +40,7 @@
    deterministic build pass, and the fleet state is plain sequential
    OCaml. With [shards = 1] the loop specialises to the classic
    single-scheduler chronology (one candidate, stepwise admission
-   admits exactly the arrivals at or before its t0), so the deprecated
-   {!replay} wrapper reproduces historical records byte-for-byte. *)
+   admits exactly the arrivals at or before its t0). *)
 
 module Coo = Asap_tensor.Coo
 module Storage = Asap_tensor.Storage
@@ -52,20 +51,6 @@ module Registry = Asap_obs.Registry
 module Chrome = Asap_obs.Chrome
 module Jsonu = Asap_obs.Jsonu
 module Select = Asap_model.Select
-
-type cfg = {
-  servers : int;          (* virtual servers draining the queue *)
-  queue_limit : int;      (* bounded FIFO depth; arrivals past it shed *)
-  cache_capacity : int;   (* LRU entries; 0 disables cache AND memoised
-                             builds AND batching (the uncached baseline) *)
-  compile_ms : float;     (* virtual sparsify+compile penalty per miss *)
-  batching : bool;        (* serve same-fingerprint waiters together *)
-  jobs : int;             (* host domains for the build pass *)
-}
-
-let default_cfg =
-  { servers = 2; queue_limit = 64; cache_capacity = 128; compile_ms = 0.05;
-    batching = true; jobs = 1 }
 
 type outcome = Served | Degraded | Shed
 
@@ -873,20 +858,6 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
   Registry.set registry "serve.pack.miss" (Array.length pack_keys);
   { rp_records = records; rp_summary = summary; rp_shards = shard_summaries;
     rp_registry = registry }
-
-(* The legacy single-scheduler surface: a [cfg] is a one-shard
-   [Config.t]. Kept so pre-fleet callers keep compiling; new code uses
-   [run] with [Config] builders. *)
-let replay ?trace (cfg : cfg) (requests : Request.t list) : replayed =
-  run ?trace
-    { Config.default with
-      Config.servers = cfg.servers;
-      queue_limit = cfg.queue_limit;
-      cache_capacity = cfg.cache_capacity;
-      compile_ms = cfg.compile_ms;
-      batching = cfg.batching;
-      jobs = cfg.jobs }
-    requests
 
 (* One record as a JSONL object — virtual quantities only, so replay
    output is byte-comparable across runs and host parallelism. *)

@@ -18,23 +18,6 @@ module Registry = Asap_obs.Registry
 module Chrome = Asap_obs.Chrome
 module Jsonu = Asap_obs.Jsonu
 
-(** The legacy single-scheduler configuration — superseded by
-    {!Config.t}, kept so pre-fleet callers keep compiling. A [cfg] is
-    exactly a one-shard [Config.t] without quotas or overrides. *)
-type cfg = {
-  servers : int;          (** virtual servers draining the queue *)
-  queue_limit : int;      (** bounded FIFO depth; arrivals past it shed *)
-  cache_capacity : int;   (** LRU entries; 0 disables cache, memoised
-                              builds and batching (uncached baseline) *)
-  compile_ms : float;     (** virtual sparsify+compile penalty per miss *)
-  batching : bool;        (** serve same-fingerprint waiters together *)
-  jobs : int;             (** host domains for the build pass *)
-}
-
-(** 2 servers, queue 64, cache 128, 0.05 ms compile penalty, batching
-    on, sequential build. *)
-val default_cfg : cfg
-
 type outcome =
   | Served      (** on time (or no deadline) with the requested variant *)
   | Degraded    (** deadline expired before dispatch; served as baseline *)
@@ -103,15 +86,6 @@ type replayed = {
 val run :
   ?trace:Chrome.t -> ?updates:Request.Update.t list -> Config.t ->
   Request.t list -> replayed
-
-(** [replay ?trace cfg requests] is {!run} over the one-shard
-    [Config.t] equivalent to [cfg] — byte-identical to the historical
-    single-scheduler replay. *)
-val replay : ?trace:Chrome.t -> cfg -> Request.t list -> replayed
-[@@ocaml.deprecated
-  "Scheduler.replay/cfg are superseded by Scheduler.run over \
-   Serve.Config — e.g. run Config.(default |> with_jobs 4 |> \
-   with_shards 8) reqs."]
 
 (** [record_to_json r] / [record_to_line r]: one record as a (one-line)
     JSON object of virtual quantities only — byte-comparable across

@@ -1,17 +1,15 @@
 (* Flat-bytecode execution engine with superinstruction fusion.
 
-   The closure-compiled engine ({!Compile}) removes interpretation
-   overhead but still pays an indirect call per simulated statement, and
-   the closure tree scatters operands across environment blocks. This
-   engine flattens an [Ir.func] into a single [int array] instruction
-   stream — int-coded opcodes followed by their operands (register
-   indices into the unboxed [ienv]/[fenv]/[ready] files, plus immediates
-   such as buffer bases and bounds resolved at compile time) — executed
-   by one tail-recursive dispatch loop whose [match] compiles to a jump
-   table. Structured control flow becomes explicit jump targets;
-   carried-value lists become preallocated vid arrays; loop state lives
-   in per-static-loop slots (no recursion in the IR, so one slot per
-   loop suffices).
+   The tree-walking interpreter ({!Interp}) pays a pattern match and
+   environment lookups per simulated statement. This engine flattens an
+   [Ir.func] into a single [int array] instruction stream — int-coded
+   opcodes followed by their operands (register indices into the unboxed
+   [ienv]/[fenv]/[ready] files, plus immediates such as buffer bases and
+   bounds resolved at compile time) — executed by one tail-recursive
+   dispatch loop whose [match] compiles to a jump table. Structured
+   control flow becomes explicit jump targets; carried-value lists
+   become preallocated vid arrays; loop state lives in per-static-loop
+   slots (no recursion in the IR, so one slot per loop suffices).
 
    On top of the flat form, adjacent statements matching the shapes
    sparsification always emits are fused into superinstructions, so one
@@ -272,7 +270,7 @@ let fbin_code = function
   | Ir.Fmax -> op_fadd + 5
 
 (* Signed and unsigned orders coincide (indices are non-negative), as in
-   Interp and Compile. *)
+   Interp. *)
 let icmp_code = function
   | Ir.Eq -> op_ceq
   | Ir.Ne -> op_ceq + 1
@@ -599,8 +597,9 @@ let compile ?(fuse = true) ?(spec = false) (fn : Ir.func)
 
 (* --- Execution ------------------------------------------------------- *)
 
-(* Per-run mutable state: identical timing core to Compile.state, plus
-   the per-static-loop slot arrays (iv, hi, step, riv). *)
+(* Per-run mutable state: the out-of-order timing core (the same model
+   as Interp), plus the per-static-loop slot arrays (iv, hi, step,
+   riv). *)
 type state = {
   ienv : int array;
   fenv : float array;
@@ -629,9 +628,8 @@ type state = {
 
 let[@inline] imax (a : int) (b : int) = if a >= b then a else b
 
-(* Issue/retire arithmetic — byte-for-byte the Compile engine's, which is
-   itself Interp's [issue] with the division and modulo maintained
-   incrementally. *)
+(* Issue/retire arithmetic — Interp's [issue] with the division and
+   modulo maintained incrementally. *)
 let[@inline] issue_at st ops_ready =
   imax (st.qbase + st.bubble)
     (imax ops_ready (Array.unsafe_get st.rob st.slot))

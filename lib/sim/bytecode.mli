@@ -11,7 +11,7 @@
     one dispatch, the identical sequence of per-instruction timing
     events.
 
-    A drop-in for {!Interp.run} and {!Compile.run}: same memory port,
+    A drop-in for {!Interp.run}: same memory port,
     same result type, same timing model, same traps, faults and load-pc
     attribution — the engines agree cycle-exactly and value-exactly
     (enforced by the differential tests in [test/test_engine.ml]). *)

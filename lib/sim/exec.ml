@@ -88,39 +88,36 @@ let aggregate machine threads (fn : Ir.func) (rs : Interp.result array) mem =
     rp_mem = mem;
     rp_op_misses = op_misses fn mem }
 
-(** The execution engine: the tree-walking interpreter ({!Interp}), the
-    staged closure compiler ({!Compile}), or the flat-bytecode engine
-    with superinstruction fusion ({!Bytecode}). All three are cycle-exact
-    and value-exact drop-ins for each other (differential-tested), so the
-    choice is purely a host-speed trade-off. *)
-type engine = [ `Interp | `Compiled | `Bytecode ]
+(** The execution engine: the tree-walking interpreter ({!Interp}) or
+    the flat-bytecode engine with superinstruction fusion ({!Bytecode}).
+    They are cycle-exact and value-exact drop-ins for each other
+    (differential-tested), so the choice is purely a host-speed
+    trade-off. *)
+type engine = [ `Interp | `Bytecode ]
 
 let default_engine : engine = `Bytecode
 
 (** Canonical engine names, for option docs and error messages. *)
-let valid_engines = "interp|compiled|bytecode"
+let valid_engines = "interp|bytecode"
 
 let engine_of_string = function
   | "interp" | "interpreter" -> Some `Interp
-  | "compiled" | "compile" | "closure" -> Some `Compiled
   | "bytecode" | "bc" | "flat" -> Some `Bytecode
   | _ -> None
 
 let engine_to_string = function
   | `Interp -> "interp"
-  | `Compiled -> "compiled"
   | `Bytecode -> "bytecode"
 
 (* The engine-specific staged form: nothing for the interpreter, the
-   closure tree for Compile, the flat program for Bytecode. *)
+   flat program for Bytecode. *)
 type staged =
   | S_interp
-  | S_closure of Compile.compiled
   | S_bytecode of Bytecode.prog
 
-(* A prepared single-core execution: address layout and (for the staged
-   engines) the compiled form, both computed once. The buffer binding is
-   captured — re-running reads whatever the bound arrays contain at that
+(* A prepared single-core execution: address layout and (for bytecode)
+   the flat program, both computed once. The buffer binding is captured
+   — re-running reads whatever the bound arrays contain at that
    moment — but the memory hierarchy is created fresh per run, so repeat
    runs are independent simulations. This is the amortisation point the
    serve subsystem's compile cache stores. *)
@@ -133,9 +130,9 @@ type prepared = {
 }
 
 (** [prepare ?engine ?spec machine fn ~bufs] lays out [bufs] in the
-    simulated address space and, for the staged engines, compiles the
-    flat program or closure tree — the run-independent half of {!run},
-    done once and reused by every {!run_prepared}. When [spec] is given,
+    simulated address space and, for the bytecode engine, compiles the
+    flat program — the run-independent half of {!run}, done once and
+    reused by every {!run_prepared}. When [spec] is given,
     the function is first rewritten by {!Specialize.apply} against those
     facts (any engine; the bytecode engine additionally bakes the
     constant loop bounds into its loop table). *)
@@ -153,7 +150,6 @@ let prepare ?(engine = default_engine) ?(spec : Specialize.facts option)
   let staged =
     match engine with
     | `Interp -> S_interp
-    | `Compiled -> S_closure (Compile.compile fn ~bufs:bound)
     | `Bytecode ->
       S_bytecode (Bytecode.compile ~spec:(spec <> None) fn ~bufs:bound)
   in
@@ -163,7 +159,6 @@ let prepare ?(engine = default_engine) ?(spec : Specialize.facts option)
 let prepared_engine p : engine =
   match p.pr_staged with
   | S_interp -> `Interp
-  | S_closure _ -> `Compiled
   | S_bytecode _ -> `Bytecode
 
 (** Specialization statistics, when the prepared form was specialized. *)
@@ -190,8 +185,6 @@ let run_prepared ?obs ?slice (p : prepared) ~(scalars : int list) : report =
     | S_interp ->
       Interp.run ?slice ~width ~rob_size ~branch_miss p.pr_fn ~bufs:p.pr_bound
         ~scalars ~mem
-    | S_closure c ->
-      Compile.run ?slice ~width ~rob_size ~branch_miss c ~scalars ~mem
     | S_bytecode bp ->
       Bytecode.run ?slice ~width ~rob_size ~branch_miss bp ~scalars ~mem
   in

@@ -27,28 +27,28 @@ type report = {
   rp_op_misses : op_miss list; (** pc-ascending, zero-miss sites omitted *)
 }
 
-(** The execution engine: the tree-walking interpreter ({!Interp}), the
-    staged closure compiler ({!Compile}), or the flat-bytecode engine
-    with superinstruction fusion ({!Bytecode}). All three are cycle-exact
-    and value-exact drop-ins for each other (differential-tested), so the
-    choice is purely a host-speed trade-off. *)
-type engine = [ `Interp | `Compiled | `Bytecode ]
+(** The execution engine: the tree-walking interpreter ({!Interp}) or
+    the flat-bytecode engine with superinstruction fusion ({!Bytecode}).
+    They are cycle-exact and value-exact drop-ins for each other
+    (differential-tested), so the choice is purely a host-speed
+    trade-off. *)
+type engine = [ `Interp | `Bytecode ]
 
 (** [`Bytecode] — the fastest engine is the default everywhere. *)
 val default_engine : engine
 
-(** Canonical engine names (["interp|compiled|bytecode"]), for option
+(** Canonical engine names (["interp|bytecode"]), for option
     docs and error messages. *)
 val valid_engines : string
 
-(** Parses ["interp"] / ["compiled"] / ["bytecode"] (and close
+(** Parses ["interp"] / ["bytecode"] (and close
     synonyms); [None] otherwise. *)
 val engine_of_string : string -> engine option
 
 val engine_to_string : engine -> string
 
 (** A prepared single-core execution: the simulated address layout and
-    (for the staged engines) the compiled form, computed once by
+    (for bytecode) the flat program, computed once by
     {!prepare} and reusable across {!run_prepared} calls. The buffer
     binding is captured — re-running reads whatever the bound arrays
     contain at that moment — but the memory hierarchy is fresh per run,
@@ -57,7 +57,7 @@ val engine_to_string : engine -> string
 type prepared
 
 (** [prepare ?engine ?spec machine fn ~bufs] is the run-independent half
-    of {!run}: layout plus (staged engines) program/closure compilation.
+    of {!run}: layout plus (bytecode) program compilation.
     With [spec], the function is first rewritten by {!Specialize.apply}
     against those facts (works under any engine so the differential
     suite can cross-check the specialized IR; the bytecode engine

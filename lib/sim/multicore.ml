@@ -60,10 +60,10 @@ let handler : (Interp.result, step) handler =
 (** [run ?engine machine hier fn ~bufs ~scalars ~slices] executes one
     copy of [fn] per slice (static row partitioning), interleaving their
     memory events on the shared hierarchy. Returns per-core results. With
-    the staged engines ([`Bytecode], the default, or [`Compiled]) the
-    function is compiled once and the program is shared by all fibers —
-    per-run state lives in each fiber's own run, so sharing is safe. *)
-let run ?(engine : [ `Interp | `Compiled | `Bytecode ] = `Bytecode)
+    the bytecode engine (the default) the function is compiled once and
+    the program is shared by all fibers — per-run state lives in each
+    fiber's own run, so sharing is safe. *)
+let run ?(engine : [ `Interp | `Bytecode ] = `Bytecode)
     (machine : Machine.t)
     (hier : Hierarchy.t) (fn : Asap_ir.Ir.func) ~(bufs : Runtime.bound array)
     ~(scalars : int list) ~(slices : (int * int) array)
@@ -77,11 +77,6 @@ let run ?(engine : [ `Interp | `Compiled | `Bytecode ] = `Bytecode)
     | `Interp ->
       fun ~slice ->
         Interp.run ~slice ~width ~rob_size ~branch_miss fn ~bufs ~scalars
-          ~mem:effect_mem
-    | `Compiled ->
-      let c = Compile.compile fn ~bufs in
-      fun ~slice ->
-        Compile.run ~slice ~width ~rob_size ~branch_miss c ~scalars
           ~mem:effect_mem
     | `Bytecode ->
       let p = Bytecode.compile fn ~bufs in

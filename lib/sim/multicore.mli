@@ -9,11 +9,11 @@
 (** [run ?engine machine hier fn ~bufs ~scalars ~slices] executes one
     copy of [fn] per slice (static row partitioning), interleaving their
     memory events on the shared hierarchy [hier]. Returns per-core
-    results. [engine] selects the tree-walking interpreter, the staged
-    closure compiler or the flat-bytecode engine (default [`Bytecode];
-    all agree cycle-exactly — with the staged engines the function is
-    compiled once and shared by all fibers). *)
+    results. [engine] selects the tree-walking interpreter or the
+    flat-bytecode engine (default [`Bytecode]; both agree cycle-exactly —
+    with bytecode the function is compiled once and shared by all
+    fibers). *)
 val run :
-  ?engine:[ `Interp | `Compiled | `Bytecode ] ->
+  ?engine:[ `Interp | `Bytecode ] ->
   Machine.t -> Hierarchy.t -> Asap_ir.Ir.func -> bufs:Runtime.bound array ->
   scalars:int list -> slices:(int * int) array -> Interp.result array

@@ -25,7 +25,7 @@
    generic one (callers' argument lists are unchanged; the bound values
    are simply no longer read) and is re-verified. Its virtual timing
    legitimately differs from the generic function — that is the point —
-   but is identical across all three engines for the same specialized
+   but is identical across both engines for the same specialized
    IR, which the differential suite enforces. The bytecode backend
    additionally recognises constant loop bounds in the specialized
    stream ({!Bytecode.compile} [~spec:true]): baked bound immediates and

@@ -10,7 +10,7 @@
     The specialized function keeps the generic parameter signature (the
     bound scalar values are simply no longer read) and is re-verified.
     Its virtual timing legitimately improves on the generic function but
-    stays identical across all three engines, which the differential
+    stays identical across both engines, which the differential
     suite enforces; value results are bit-identical to the generic
     function (operation order is preserved). *)
 

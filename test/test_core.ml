@@ -34,13 +34,16 @@ let variants =
 let encodings () =
   [ Encoding.coo (); Encoding.csr (); Encoding.csc (); Encoding.dcsr () ]
 
+let cfg ?threads ?binary ?n ?(machine = machine) variant =
+  Driver.Cfg.make ?threads ?binary ?n ~machine ~variant ()
+
 let test_spmv_all_variants_all_formats () =
   let coo = small_matrix 1 in
   List.iter
     (fun enc ->
       List.iter
         (fun (vn, v) ->
-          let r = Driver.spmv machine v enc coo in
+          let r = Driver.run (cfg v) (Driver.Spmv enc) coo in
           let err = Driver.check_spmv coo r in
           check
             (Printf.sprintf "spmv %s/%s" enc.Encoding.name vn)
@@ -52,7 +55,7 @@ let test_spmv_wide_indices () =
   (* 64-bit index buffers (paper §4.2) change addressing, not semantics. *)
   let coo = small_matrix 12 in
   let enc = Encoding.csr ~width:Encoding.W64 () in
-  let r = Driver.spmv machine (Pipeline.Asap Asap.default) enc coo in
+  let r = Driver.run (cfg (Pipeline.Asap Asap.default)) (Driver.Spmv enc) coo in
   check "w64 correct" true (Driver.check_spmv coo r < 1e-9);
   (* Wider indices double the crd traffic footprint. *)
   let st32 =
@@ -67,7 +70,7 @@ let test_spmm_all_variants () =
   let coo = small_matrix 2 in
   List.iter
     (fun (vn, v) ->
-      let r = Driver.spmm machine v (Encoding.csr ()) ~n:4 coo in
+      let r = Driver.run (cfg ~n:4 v) (Driver.Spmm (Encoding.csr ())) coo in
       check ("spmm " ^ vn) true (Driver.check_spmm coo ~n:4 r < 1e-9))
     variants
 
@@ -75,23 +78,27 @@ let test_spmv_binary () =
   let coo = small_matrix 3 in
   List.iter
     (fun (vn, v) ->
-      let r = Driver.spmv ~binary:true machine v (Encoding.csr ()) coo in
+      let r =
+        Driver.run (cfg ~binary:true v) (Driver.Spmv (Encoding.csr ())) coo
+      in
       check ("binary spmv " ^ vn) true (Driver.check_spmv coo r = 0.))
     variants
 
 let test_spmm_binary () =
   let coo = small_matrix 4 in
-  let r = Driver.spmm ~binary:true machine Pipeline.Baseline (Encoding.csr ())
-      ~n:16 coo
+  let r =
+    Driver.run (cfg ~binary:true ~n:16 Pipeline.Baseline)
+      (Driver.Spmm (Encoding.csr ())) coo
   in
   check "binary spmm" true (Driver.check_spmm coo ~n:16 r = 0.)
 
 let test_spmv_parallel_matches () =
   let coo = small_matrix 5 in
   let m4 = Machine.gracemont_scaled ~cores:4 () in
-  let r1 = Driver.spmv machine Pipeline.Baseline (Encoding.csr ()) coo in
+  let csr = Driver.Spmv (Encoding.csr ()) in
+  let r1 = Driver.run (cfg Pipeline.Baseline) csr coo in
   let r4 =
-    Driver.spmv ~threads:4 m4 Pipeline.Baseline (Encoding.csr ()) coo
+    Driver.run (cfg ~threads:4 ~machine:m4 Pipeline.Baseline) csr coo
   in
   check "parallel correct" true (Driver.check_spmv coo r4 < 1e-9);
   check "parallel cycles less" true
@@ -102,7 +109,8 @@ let test_parallel_rejects_compressed_outer () =
   let m4 = Machine.gracemont_scaled ~cores:4 () in
   (try
      let (_ : Driver.result) =
-       Driver.spmv ~threads:4 m4 Pipeline.Baseline (Encoding.dcsr ()) coo
+       Driver.run (cfg ~threads:4 ~machine:m4 Pipeline.Baseline)
+         (Driver.Spmv (Encoding.dcsr ())) coo
      in
      Alcotest.fail "dense-outer-loop must require a dense top level"
    with Invalid_argument _ -> ())
@@ -115,10 +123,9 @@ let test_asap_speedup_memory_bound () =
     Generate.power_law ~seed:42 ~rows:150_000 ~cols:150_000 ~avg_deg:5
       ~alpha:1.9 ()
   in
-  let base = Driver.spmv machine Pipeline.Baseline (Encoding.csr ()) coo in
-  let asap =
-    Driver.spmv machine (Pipeline.Asap Asap.default) (Encoding.csr ()) coo
-  in
+  let csr = Driver.Spmv (Encoding.csr ()) in
+  let base = Driver.run (cfg Pipeline.Baseline) csr coo in
+  let asap = Driver.run (cfg (Pipeline.Asap Asap.default)) csr coo in
   check "correct" true (Driver.check_spmv coo asap < 1e-9);
   let sp = Driver.throughput asap /. Driver.throughput base in
   check (Printf.sprintf "speedup > 1.1 (got %.2f)" sp) true (sp > 1.1);
@@ -131,10 +138,9 @@ let test_asap_speedup_memory_bound () =
    paper reports up to ~10-20% slowdown in the compute-bound regime). *)
 let test_asap_overhead_bounded () =
   let coo = Generate.banded ~seed:43 ~n:20_000 ~band:2 () in
-  let base = Driver.spmv machine Pipeline.Baseline (Encoding.csr ()) coo in
-  let asap =
-    Driver.spmv machine (Pipeline.Asap Asap.default) (Encoding.csr ()) coo
-  in
+  let csr = Driver.Spmv (Encoding.csr ()) in
+  let base = Driver.run (cfg Pipeline.Baseline) csr coo in
+  let asap = Driver.run (cfg (Pipeline.Asap Asap.default)) csr coo in
   let ratio = Driver.throughput asap /. Driver.throughput base in
   check (Printf.sprintf "overhead bounded (got %.2f)" ratio) true
     (ratio > 0.7)
@@ -149,12 +155,14 @@ let test_semantic_bound_beats_segment_local_on_short_rows () =
   in
   let enc = Encoding.csr () in
   let sem =
-    Driver.spmv machine (Pipeline.Asap Asap.default) enc coo
+    Driver.run (cfg (Pipeline.Asap Asap.default)) (Driver.Spmv enc) coo
   in
   let seg =
-    Driver.spmv machine
-      (Pipeline.Asap { Asap.default with Asap.bound_mode = Asap.Segment_local })
-      enc coo
+    Driver.run
+      (cfg
+         (Pipeline.Asap
+            { Asap.default with Asap.bound_mode = Asap.Segment_local }))
+      (Driver.Spmv enc) coo
   in
   check "semantic >= segment-local on short rows" true
     (Driver.throughput sem >= Driver.throughput seg)
@@ -248,7 +256,7 @@ let test_ttv_all_variants () =
   in
   List.iter
     (fun (vn, v) ->
-      let r = Driver.ttv machine v coo in
+      let r = Driver.run (cfg v) (Driver.Ttv None) coo in
       check ("ttv " ^ vn) true (Driver.check_ttv coo r < 1e-9))
     variants
 
@@ -297,10 +305,13 @@ let test_pipeline_optimize_flag () =
   let enc = Encoding.csr () in
   let r =
     let k = Asap_lang.Kernel.spmv ~enc () in
-    let c = Pipeline.compile ~optimize:true k (Pipeline.Asap Asap.default) in
+    let v = Pipeline.Asap Asap.default in
+    let pipeline = Pipeline.spec_of_variant v ^ ",fold,licm" in
+    let c = Pipeline.compile ~pipeline k v in
     check "optimized IR verifies" true
       (Asap_ir.Verify.check_result c.Pipeline.fn = Ok ());
-    Driver.spmv machine (Pipeline.Asap Asap.default) enc coo
+    Driver.run { (cfg v) with Driver.Cfg.pipeline = Some pipeline }
+      (Driver.Spmv enc) coo
   in
   check "still correct" true (Driver.check_spmv coo r < 1e-9)
 
@@ -537,7 +548,7 @@ let test_tuning_jobs_invariant () =
             (d1.Asap_core.Tuning.chosen = d4.Asap_core.Tuning.chosen);
           check (label ^ ": identical profile") true
             (d1.Asap_core.Tuning.profile = d4.Asap_core.Tuning.profile))
-        [ `Interp; `Compiled ])
+        [ `Interp; `Bytecode ])
     [ ("csr", Encoding.csr ()); ("csc", Encoding.csc ()) ]
 
 let test_suite_structure () =
@@ -631,7 +642,7 @@ let qcheck_spmv_equivalence =
       let coo = Coo.of_triples ~rows ~cols entries in
       let enc = List.nth (encodings ()) enc_i in
       let _, v = List.nth variants var_i in
-      let r = Driver.spmv machine v enc coo in
+      let r = Driver.run (cfg v) (Driver.Spmv enc) coo in
       Driver.check_spmv coo r < 1e-9)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_spmv_equivalence ]

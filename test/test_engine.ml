@@ -1,12 +1,11 @@
-(* Differential tests for the staged execution engines — the closure
-   compiler (Compile) and the flat-bytecode engine (Bytecode) — against
-   the tree-walking interpreter (Interp): all three must agree
-   cycle-exactly and value-exactly on every kernel, format and prefetch
-   variant, single- and multi-core, and must raise identical traps and
-   faults on the same inputs. The bytecode engine's superinstruction
-   fusion is additionally checked fused-vs-unfused. Also checks that the
-   benchmark grid's domain-parallel prewarm reproduces sequential
-   measurements bit for bit. *)
+(* Differential tests for the flat-bytecode engine (Bytecode) against the
+   tree-walking interpreter (Interp): both must agree cycle-exactly and
+   value-exactly on every kernel, format and prefetch variant, single-
+   and multi-core, and must raise identical traps and faults on the same
+   inputs. The bytecode engine's superinstruction fusion is additionally
+   checked fused-vs-unfused. Also checks that the benchmark grid's
+   domain-parallel prewarm reproduces sequential measurements bit for
+   bit. *)
 
 module Ir = Asap_ir.Ir
 module Builder = Asap_ir.Builder
@@ -53,12 +52,13 @@ let same_result name (a : Driver.result) (b : Driver.result) =
   check (name ^ ": out_f") true (a.Driver.out_f = b.Driver.out_f);
   check (name ^ ": out_b") true (a.Driver.out_b = b.Driver.out_b)
 
-(* Run [f] under all three engines and require both staged engines to
+(* Run [f] under both engines and require the bytecode engine to
    reproduce the interpreter exactly. *)
-let three_way name (f : Exec.engine -> Driver.result) =
-  let r_i = f `Interp in
-  same_result (name ^ " compiled") r_i (f `Compiled);
-  same_result (name ^ " bytecode") r_i (f `Bytecode)
+let two_way name (f : Exec.engine -> Driver.result) =
+  same_result (name ^ " bytecode") (f `Interp) (f `Bytecode)
+
+let cfg ?threads ?binary ?n ?(machine = machine) engine variant =
+  Driver.Cfg.make ~engine ?threads ?binary ?n ~machine ~variant ()
 
 let test_differential_spmv () =
   let coo = small_matrix 21 in
@@ -66,9 +66,9 @@ let test_differential_spmv () =
     (fun enc ->
       List.iter
         (fun (vn, v) ->
-          three_way
+          two_way
             (Printf.sprintf "spmv %s/%s" enc.Encoding.name vn)
-            (fun engine -> Driver.spmv ~engine machine v enc coo))
+            (fun engine -> Driver.run (cfg engine v) (Driver.Spmv enc) coo))
         variants)
     (encodings ())
 
@@ -78,9 +78,10 @@ let test_differential_spmm () =
     (fun enc ->
       List.iter
         (fun (vn, v) ->
-          three_way
+          two_way
             (Printf.sprintf "spmm %s/%s" enc.Encoding.name vn)
-            (fun engine -> Driver.spmm ~engine ~n:4 machine v enc coo))
+            (fun engine ->
+              Driver.run (cfg ~n:4 engine v) (Driver.Spmm enc) coo))
         variants)
     (encodings ())
 
@@ -88,8 +89,9 @@ let test_differential_binary () =
   let coo = small_matrix 23 in
   List.iter
     (fun (vn, v) ->
-      three_way ("binary spmv " ^ vn) (fun engine ->
-          Driver.spmv ~engine ~binary:true machine v (Encoding.csr ()) coo))
+      two_way ("binary spmv " ^ vn) (fun engine ->
+          Driver.run (cfg ~binary:true engine v)
+            (Driver.Spmv (Encoding.csr ())) coo))
     variants
 
 let test_differential_ttv () =
@@ -98,7 +100,8 @@ let test_differential_ttv () =
   in
   List.iter
     (fun (vn, v) ->
-      three_way ("ttv " ^ vn) (fun engine -> Driver.ttv ~engine machine v coo))
+      two_way ("ttv " ^ vn) (fun engine ->
+          Driver.run (cfg engine v) (Driver.Ttv None) coo))
     variants
 
 let test_differential_multicore () =
@@ -109,9 +112,10 @@ let test_differential_multicore () =
   List.iter
     (fun (vn, v) ->
       let run engine =
-        Driver.spmv ~engine ~threads:4 machine4 v (Encoding.csr ()) coo
+        Driver.run (cfg ~threads:4 ~machine:machine4 engine v)
+          (Driver.Spmv (Encoding.csr ())) coo
       in
-      three_way ("multicore spmv " ^ vn) run;
+      two_way ("multicore spmv " ^ vn) run;
       check ("multicore " ^ vn ^ ": 4 threads") true
         ((run `Bytecode).Driver.report.Asap_sim.Exec.rp_threads = 4))
     variants
@@ -123,7 +127,8 @@ let test_multicore_deterministic () =
   let machine4 = Machine.gracemont_scaled ~cores:4 () in
   let v = Pipeline.Asap { Asap.default with Asap.distance = 8 } in
   let run () =
-    Driver.spmv ~threads:4 machine4 v (Encoding.csr ()) coo
+    Driver.run (cfg ~threads:4 ~machine:machine4 Exec.default_engine v)
+      (Driver.Spmv (Encoding.csr ())) coo
   in
   same_result "multicore repeat" (run ()) (run ())
 
@@ -144,7 +149,7 @@ let same_outcome name expected fn mk_bufs scalars =
         (Printf.sprintf "%s (%s)" name (Exec.engine_to_string engine))
         expected
         (outcome_of engine fn ~bufs:(mk_bufs ()) ~scalars))
-    [ `Interp; `Compiled; `Bytecode ]
+    [ `Interp; `Bytecode ]
 
 let test_trap_fault_parity () =
   (* Division by zero inside a loop body. *)
@@ -204,7 +209,7 @@ let test_trap_fault_parity () =
 let test_carried_values () =
   (* A counted loop carrying a float accumulator and an int counter,
      feeding a while loop that carries both onward — the full carried
-     init/yield/result plumbing of both loop forms, in every engine. *)
+     init/yield/result plumbing of both loop forms, in both engines. *)
   let fn, (src_buf, out_buf) =
     let b = Builder.create () in
     let src = Builder.buf b "src" Ir.EF64 in
@@ -255,13 +260,10 @@ let test_carried_values () =
     (r, out)
   in
   let r_i, out_i = run `Interp in
-  let r_c, out_c = run `Compiled in
   let r_b, out_b = run `Bytecode in
   (* (0.25 + 8.0) doubled 4 times, and the counter drained to 0. *)
   check "carried: expected value" true (out_i = [| 132.; 0. |]);
-  check "carried: compiled report" true (r_i = r_c);
   check "carried: bytecode report" true (r_i = r_b);
-  check "carried: compiled out" true (out_i = out_c);
   check "carried: bytecode out" true (out_i = out_b)
 
 (* --- Superinstruction fusion ------------------------------------------ *)
@@ -320,7 +322,7 @@ let run_pipeline ?pipeline engine v coo =
 
 let test_differential_pipeline () =
   (* Every registered IR pass, alone and in the default optimisation
-     stack, must be three-way cycle-exact — and, being non-semantic
+     stack, must be two-way cycle-exact — and, being non-semantic
      rewrites, value-exact against the unpiped baseline. *)
   let coo = small_matrix 28 in
   let pipelines =
@@ -331,7 +333,7 @@ let test_differential_pipeline () =
   in
   List.iter
     (fun p ->
-      three_way ("pipeline " ^ p) (fun engine ->
+      two_way ("pipeline " ^ p) (fun engine ->
           run_pipeline ~pipeline:p engine Pipeline.Baseline coo))
     pipelines;
   let base = run_pipeline `Interp Pipeline.Baseline coo in
@@ -344,7 +346,7 @@ let test_differential_pipeline () =
 
 let test_pipeline_matches_variant () =
   (* A variant run with its own canonical spec passed explicitly must be
-     indistinguishable from the implicit-pipeline run, in every engine. *)
+     indistinguishable from the implicit-pipeline run, in both engines. *)
   let coo = small_matrix 29 in
   List.iter
     (fun (vn, v) ->
@@ -356,8 +358,19 @@ let test_pipeline_matches_variant () =
                (Asap_sim.Exec.engine_to_string engine))
             (run_pipeline engine v coo)
             (run_pipeline ~pipeline:spec engine v coo))
-        [ `Interp; `Compiled; `Bytecode ])
+        [ `Interp; `Bytecode ])
     variants
+
+(* --- Engine names ------------------------------------------------------ *)
+
+let test_engine_names () =
+  check_s "valid engines" "interp|bytecode" Exec.valid_engines;
+  check "compiled is gone" true (Exec.engine_of_string "compiled" = None);
+  List.iter
+    (fun e ->
+      check ("round trip " ^ Exec.engine_to_string e) true
+        (Exec.engine_of_string (Exec.engine_to_string e) = Some e))
+    [ `Interp; `Bytecode ]
 
 (* --- Parallel benchmark grid ----------------------------------------- *)
 
@@ -430,5 +443,6 @@ let suite =
       test_differential_pipeline;
     Alcotest.test_case "pipeline matches variant" `Quick
       test_pipeline_matches_variant;
+    Alcotest.test_case "engine names" `Quick test_engine_names;
     Alcotest.test_case "parallel grid = sequential" `Quick
       test_grid_parallel_matches_sequential ]

@@ -213,11 +213,11 @@ let test_byte_buffer_ops () =
   check_int "masked to 8 bits" ((300 lor 1) land 0xff)
     (Bytes.get_uint8 data 0)
 
-(* --- Randomized three-engine differential harness ---------------------
+(* --- Randomized two-engine differential harness -----------------------
 
    Random sparse matrices — varying density, bandedness, empty rows and
    columns, degenerate 1xN / Nx1 and nnz = 0 shapes — are driven through
-   every (kernel x format x variant) triple under all three execution
+   every (kernel x format x variant) triple under both execution
    engines.  Structural equality of reports and outputs is the whole
    cycle- and value-exactness contract at once (cycles, instruction mix,
    every cache counter, float summation order — see test_engine.ml); the
@@ -319,13 +319,13 @@ let run_cell (mseed, (kname, kernel), enc, (vname, v)) =
       vname mseed coo.Coo.dims.(0) coo.Coo.dims.(1) (Coo.nnz coo)
   in
   let f engine =
+    let cfg = Driver.Cfg.make ~engine ~machine:diff_machine ~variant:v in
     match kernel with
-    | `Spmv -> Driver.spmv ~engine diff_machine v enc coo
-    | `Spmm -> Driver.spmm ~engine ~n:3 diff_machine v enc coo
-    | `Sddmm -> Driver.sddmm ~engine ~kk:5 diff_machine v enc coo
+    | `Spmv -> Driver.run (cfg ()) (Driver.Spmv enc) coo
+    | `Spmm -> Driver.run (cfg ~n:3 ()) (Driver.Spmm enc) coo
+    | `Sddmm -> Driver.run (cfg ~n:5 ()) (Driver.Sddmm enc) coo
   in
   let r_i = f `Interp in
-  same_result (name ^ " compiled") r_i (f `Compiled);
   same_result (name ^ " bytecode") r_i (f `Bytecode);
   let err =
     match kernel with

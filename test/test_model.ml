@@ -114,8 +114,9 @@ let test_model_within_5pct_full_run () =
       let pred =
         Cost_model.predict machine (Features.extract ~machine enc coo)
       in
-      let cycles v =
-        (Driver.spmv ~st machine v enc coo).Driver.report.Exec.rp_cycles
+      let cycles variant =
+        (Driver.run (Driver.Cfg.make ~st ~machine ~variant ()) (Driver.Spmv enc)
+           coo).Driver.report.Exec.rp_cycles
       in
       let sc = cycles sweep.Tuning.chosen
       and mc = cycles pred.Cost_model.p_variant in

@@ -37,7 +37,7 @@ let run_with ~engine ~obs variant coo =
 (* --- Registry differential ------------------------------------------- *)
 
 let test_registry_differential () =
-  (* Four runs of the same kernel: {Interp, Compiled} x {tracing off,
+  (* Four runs of the same kernel: {Interp, Bytecode} x {tracing off,
      tracing on}. All four counter registries must be byte-identical —
      the engines are drop-ins and observation never perturbs timing. *)
   let coo = small_matrix 61 in
@@ -54,7 +54,7 @@ let test_registry_differential () =
                 in
                 (run_with ~engine ~obs v coo).Driver.counters)
               [ false; true ])
-          [ `Interp; `Compiled ]
+          [ `Interp; `Bytecode ]
       in
       match runs with
       | reference :: rest ->
@@ -72,7 +72,7 @@ let test_counters_match_report () =
   (* The result's [counters] field is exactly the report's canonical
      export, and the registry round-trips through the assoc list. *)
   let coo = small_matrix 62 in
-  let r = run_with ~engine:`Compiled ~obs:Sink.null asap_v coo in
+  let r = run_with ~engine:`Interp ~obs:Sink.null asap_v coo in
   let assoc = Exec.Report.to_assoc r.Driver.report in
   check "counters = Report.to_assoc" true (r.Driver.counters = assoc);
   let rt = Registry.of_assoc assoc in
@@ -97,7 +97,7 @@ let required_names =
 
 let test_catalogue () =
   let coo = small_matrix 63 in
-  let r = run_with ~engine:`Compiled ~obs:Sink.null asap_v coo in
+  let r = run_with ~engine:`Bytecode ~obs:Sink.null asap_v coo in
   let reg = Exec.Report.registry r.Driver.report in
   let names = Registry.names reg in
   List.iter
@@ -143,7 +143,7 @@ let test_catalogue () =
 let trace_events coo =
   let c = Chrome.create () in
   let obs = Chrome.sink ~pf_name:Hp.slug_of_id c in
-  let (_ : Driver.result) = run_with ~engine:`Compiled ~obs asap_v coo in
+  let (_ : Driver.result) = run_with ~engine:`Bytecode ~obs asap_v coo in
   check "events recorded" true (Chrome.n_events c > 0);
   match Chrome.to_json c with
   | Jsonu.Obj fields ->
@@ -241,7 +241,7 @@ let test_chrome_json_parses () =
   check "balanced JSON" true (!depth = 0 && not !in_str);
   check "document is an object" true (String.length s > 0 && s.[0] = '{')
 
-(* --- Driver.run = wrappers ------------------------------------------- *)
+(* --- Driver.run = Prep.exec ------------------------------------------ *)
 
 let same_result name (a : Driver.result) (b : Driver.result) =
   check (name ^ ": report") true (a.Driver.report = b.Driver.report);
@@ -250,23 +250,23 @@ let same_result name (a : Driver.result) (b : Driver.result) =
   check (name ^ ": out_f") true (a.Driver.out_f = b.Driver.out_f);
   check (name ^ ": out_b") true (a.Driver.out_b = b.Driver.out_b)
 
-let test_run_equals_wrappers () =
+(* The one-shot entry point and the prepared path agree in every result
+   field, for every kernel family. *)
+let test_run_equals_prep () =
   let coo = small_matrix 66 in
   let enc = Encoding.csr () in
   let cfg = Driver.Cfg.make ~machine ~variant:asap_v () in
-  same_result "spmv"
-    (Driver.run cfg (Driver.Spmv enc) coo)
-    (Driver.spmv machine asap_v enc coo);
-  same_result "spmm"
-    (Driver.run { cfg with Driver.Cfg.n = Some 4 } (Driver.Spmm enc) coo)
-    (Driver.spmm ~n:4 machine asap_v enc coo);
-  same_result "binary spmv"
-    (Driver.run { cfg with Driver.Cfg.binary = true } (Driver.Spmv enc) coo)
-    (Driver.spmv ~binary:true machine asap_v enc coo);
+  let both name cfg spec coo =
+    same_result name (Driver.run cfg spec coo)
+      (Driver.Prep.exec (Driver.Prep.make cfg spec coo))
+  in
+  both "spmv" cfg (Driver.Spmv enc) coo;
+  both "spmm" { cfg with Driver.Cfg.n = Some 4 } (Driver.Spmm enc) coo;
+  both "binary spmv" { cfg with Driver.Cfg.binary = true } (Driver.Spmv enc)
+    coo;
+  both "sddmm" { cfg with Driver.Cfg.n = Some 3 } (Driver.Sddmm enc) coo;
   let t3 = Generate.tensor3 ~seed:67 ~dims:[| 15; 20; 25 |] ~nnz:300 () in
-  same_result "ttv"
-    (Driver.run cfg (Driver.Ttv None) t3)
-    (Driver.ttv machine asap_v t3)
+  both "ttv" cfg (Driver.Ttv None) t3
 
 (* --- Registry snapshot/diff ------------------------------------------ *)
 
@@ -349,8 +349,7 @@ let suite =
     Alcotest.test_case "chrome trace golden" `Quick test_chrome_golden;
     Alcotest.test_case "chrome JSON well-formed" `Quick
       test_chrome_json_parses;
-    Alcotest.test_case "Driver.run = wrappers" `Quick
-      test_run_equals_wrappers;
+    Alcotest.test_case "Driver.run = Prep.exec" `Quick test_run_equals_prep;
     Alcotest.test_case "Cfg defaults" `Quick test_cfg_defaults;
     Alcotest.test_case "registry snapshot/diff" `Quick
       test_registry_snapshot_diff;

@@ -1,7 +1,7 @@
 (* Pass-pipeline subsystem tests: spec syntax and error positions,
    registry validation (unknown passes/parameters, duplicate
-   registration, schema checks), canonical forms, the deprecated
-   [?optimize] alias, and the pass.<name>.* runner counters. *)
+   registration, schema checks), canonical forms, variant specs, and the
+   pass.<name>.* runner counters. *)
 
 module Spec = Asap_pass.Spec
 module Pass = Asap_pass.Pass
@@ -163,27 +163,27 @@ let test_canonical () =
     (Runner.canonical_of_string "sparsify,asap{l=2,d=16}"
      = Runner.canonical_of_string "sparsify,asap{d=16,l=2}")
 
-(* --- Variant specs and the ?optimize alias ---------------------------- *)
+(* --- Variant specs ---------------------------------------------------- *)
 
-let test_optimize_alias () =
+(* A variant compiles exactly as its canonical spec does, and the
+   optimising tail is spelled as a spec suffix. *)
+let test_variant_specs () =
   let enc = Encoding.csr () in
   let k = Kernel.spmv ~enc () in
   check_s "baseline spec" "sparsify" (Pipeline.spec_of_variant Pipeline.Baseline);
   let asap_v = Pipeline.Asap { Asap.default with Asap.distance = 8 } in
-  check "optimize alias appends fold,licm" true
-    (let s = Pipeline.spec_of_variant ~optimize:true asap_v in
-     contains s ",fold,licm" && contains s "asap{d=8,");
+  check "asap spec carries its distance" true
+    (contains (Pipeline.spec_of_variant asap_v) "asap{d=8,");
   List.iter
     (fun v ->
-      let via_flag = Pipeline.compile ~optimize:true k v in
-      let via_spec =
-        Pipeline.compile
-          ~pipeline:(Pipeline.spec_of_variant ~optimize:true v) k v
-      in
-      check_s "alias IR byte-identical" (Pipeline.listing via_flag)
-        (Pipeline.listing via_spec);
-      check_int "alias sites agree" via_flag.Pipeline.n_prefetch_sites
-        via_spec.Pipeline.n_prefetch_sites)
+      let spec = Pipeline.spec_of_variant v in
+      let implicit = Pipeline.compile k v in
+      let explicit = Pipeline.compile ~pipeline:spec k v in
+      check_s "variant IR = spec IR" (Pipeline.listing implicit)
+        (Pipeline.listing explicit);
+      let opt = Pipeline.compile ~pipeline:(spec ^ ",fold,licm") k v in
+      check_int "fold,licm tail keeps sites" implicit.Pipeline.n_prefetch_sites
+        opt.Pipeline.n_prefetch_sites)
     [ Pipeline.Baseline; asap_v;
       Pipeline.Ainsworth_jones { Aj.default with Aj.distance = 8 } ]
 
@@ -289,5 +289,5 @@ let suite =
       test_register_duplicate;
     Alcotest.test_case "registration schema" `Quick test_register_schema;
     Alcotest.test_case "canonical forms" `Quick test_canonical;
-    Alcotest.test_case "optimize alias" `Quick test_optimize_alias;
+    Alcotest.test_case "optimize alias" `Quick test_variant_specs;
     Alcotest.test_case "runner counters" `Quick test_runner_counters ]

@@ -232,6 +232,12 @@ let test_replay_cache_counters () =
     s.Slo.s_misses;
   check "repeats hit" true (s.Slo.s_hits > 0);
   check_int "all served" 50 s.Slo.s_ok;
+  (* The default fleet is one shard: records carry trivial fleet fields. *)
+  Array.iter
+    (fun (r : Scheduler.record) ->
+      check "one shard" true (r.Scheduler.r_shard = 0);
+      check "never stolen" true (not r.Scheduler.r_stolen))
+    rp.Scheduler.rp_records;
   check_int "registry mirrors summary" s.Slo.s_hits
     (Registry.find rp.Scheduler.rp_registry "serve.cache.hit");
   (* Cache off: every request rebuilds and misses. *)
@@ -556,26 +562,6 @@ let test_fleet_jobs_invariant () =
     |> List.filter (fun sh -> sh.Slo.sh_ok + sh.Slo.sh_degraded > 0)
   in
   check "several shards served" true (List.length active >= 2)
-
-(* The deprecated single-scheduler wrapper must reproduce Scheduler.run
-   over the equivalent one-shard Config byte-for-byte. *)
-module Compat = struct
-  [@@@ocaml.alert "-deprecated"]
-
-  let replay_default reqs = Scheduler.replay Scheduler.default_cfg reqs
-end
-
-let test_deprecated_replay_compat () =
-  let reqs = Mix.hot_cold ~seed:5 ~n:40 (small_profiles ()) in
-  Alcotest.(check (list string)) "replay cfg = run Config (byte)"
-    (lines (Scheduler.run Config.default reqs))
-    (lines (Compat.replay_default reqs));
-  (* One-shard records carry trivial fleet fields. *)
-  Array.iter
-    (fun (r : Scheduler.record) ->
-      check "one shard" true (r.Scheduler.r_shard = 0);
-      check "never stolen" true (not r.Scheduler.r_stolen))
-    (Compat.replay_default reqs).Scheduler.rp_records
 
 let test_work_stealing () =
   (* Twenty same-fingerprint requests all route to one home shard; with
@@ -977,8 +963,6 @@ let suite =
     Alcotest.test_case "prep exec stable" `Quick test_prep_exec_stable;
     Alcotest.test_case "router stability" `Quick test_router_stability;
     Alcotest.test_case "fleet jobs-invariant" `Slow test_fleet_jobs_invariant;
-    Alcotest.test_case "deprecated replay compat" `Slow
-      test_deprecated_replay_compat;
     Alcotest.test_case "work stealing" `Quick test_work_stealing;
     Alcotest.test_case "tenant quota" `Quick test_tenant_quota;
     Alcotest.test_case "tenant quota under zipf" `Slow test_tenant_quota_zipf;

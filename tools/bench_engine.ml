@@ -1,5 +1,5 @@
 (* Engine microbenchmark: host wall-clock and simulated-instruction
-   throughput of the three execution engines on identical cells.
+   throughput of the two execution engines on identical cells.
 
    The matrix is generated and packed once; each engine then runs the same
    kernel/variant cells on fresh hierarchies, so the comparison isolates
@@ -37,16 +37,20 @@ let () =
       ("aj", Pipeline.Ainsworth_jones Aj.default) ]
   in
   let measure engine =
+    let run variant =
+      Driver.run (Driver.Cfg.make ~engine ~st ~machine ~variant ())
+        (Driver.Spmv enc) coo
+    in
     (* Warm up allocators and fault in the matrix once, untimed. The
        matrix is packed once above and shared via [~st], so the timed
        region is engine cost, not setup. *)
-    ignore (Driver.spmv ~engine ~st machine Pipeline.Baseline enc coo);
+    ignore (run Pipeline.Baseline);
     let instrs = ref 0 in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
       List.iter
         (fun (_, v) ->
-          let r = Driver.spmv ~engine ~st machine v enc coo in
+          let r = run v in
           instrs := !instrs + r.Driver.report.Exec.rp_instructions)
         variants
     done;
@@ -54,16 +58,14 @@ let () =
     (dt, !instrs)
   in
   let ti, ii = measure `Interp in
-  let tc, ic = measure `Compiled in
   let tb, ib = measure `Bytecode in
-  assert (ii = ic);
   assert (ii = ib);
-  (* Seed-commit Minstr/s on this microbench (default arguments, same
-     host class), for cross-commit ratios: the per-access hierarchy
-     optimisations that rode along with the bytecode engine sped up all
-     three engines, so same-run ratios understate the distance travelled
-     from the seed's closure engine. *)
-  let seed_interp = 4.84 and seed_compiled = 7.18 in
+  (* Seed-commit interpreter Minstr/s on this microbench (default
+     arguments, same host class), for cross-commit ratios: the per-access
+     hierarchy optimisations that rode along with the bytecode engine sped
+     up both engines, so same-run ratios understate the distance
+     travelled from the seed. *)
+  let seed_interp = 4.84 in
   let mb = float_of_int ib /. tb /. 1e6 in
   Printf.printf
     "{\n\
@@ -71,20 +73,11 @@ let () =
     \  \"matrix\": \"powerlaw rows=%d avg_deg=%d nnz=%d\",\n\
     \  \"simulated_instructions\": %d,\n\
     \  \"interp\": { \"wall_s\": %.3f, \"minstr_per_s\": %.2f },\n\
-    \  \"compiled\": { \"wall_s\": %.3f, \"minstr_per_s\": %.2f },\n\
     \  \"bytecode\": { \"wall_s\": %.3f, \"minstr_per_s\": %.2f },\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"bytecode_vs_compiled\": %.2f,\n\
     \  \"bytecode_vs_interp\": %.2f,\n\
     \  \"seed_interp_minstr_per_s\": %.2f,\n\
-    \  \"seed_compiled_minstr_per_s\": %.2f,\n\
-    \  \"bytecode_vs_seed_compiled\": %.2f,\n\
     \  \"bytecode_vs_seed_interp\": %.2f\n\
      }\n"
     reps rows deg (Coo.nnz coo) ii ti
     (float_of_int ii /. ti /. 1e6)
-    tc
-    (float_of_int ic /. tc /. 1e6)
-    tb mb
-    (ti /. tc) (tc /. tb) (ti /. tb)
-    seed_interp seed_compiled (mb /. seed_compiled) (mb /. seed_interp)
+    tb mb (ti /. tb) seed_interp (mb /. seed_interp)

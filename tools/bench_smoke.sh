@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Engine smoke benchmark: wall-clock the --quick fig6 grid under all three
-# execution engines (interp, compiled, bytecode), check the printed tables
-# are byte-identical, emit one JSONL run record per grid cell, and run the
+# Engine smoke benchmark: wall-clock the --quick fig6 grid under both
+# execution engines (interp, bytecode), check the printed tables are
+# byte-identical, emit one JSONL run record per grid cell, and run the
 # engine microbenchmark (tools/bench_engine.ml) for per-engine
 # simulated-instruction throughput.
 # Emits BENCH_engine.json (plus BENCH_records.jsonl), then runs the
@@ -15,8 +15,8 @@
 # The seed baseline is the measured wall-clock of this grid on the seed
 # commit (sequential tree-walking interpreter, same host); override with
 # SEED_WALL_S if re-measured. If a previous $OUT exists, the tracing-off
-# compiled wall-clock must stay within MAX_REGRESS (default 1.10, i.e.
-# +10%) of its compiled_jobs4_wall_s or the script fails — the
+# bytecode wall-clock must stay within MAX_REGRESS (default 1.10, i.e.
+# +10%) of its bytecode_jobs4_wall_s or the script fails — the
 # observability hooks must stay free when off.
 set -euo pipefail
 
@@ -47,15 +47,14 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Wall-clock regression gate: compare against the previous run's recorded
-# compiled wall-clock before overwriting $OUT.
-prev_compiled_wall=
+# bytecode wall-clock before overwriting $OUT.
+prev_bytecode_wall=
 if [ -f "$OUT" ]; then
-  prev_compiled_wall=$(grep -o '"compiled_jobs4_wall_s": [0-9.]*' "$OUT" \
+  prev_bytecode_wall=$(grep -o '"bytecode_jobs4_wall_s": [0-9.]*' "$OUT" \
     | grep -o '[0-9.]*$' || true)
 fi
 
 interp_wall=$(run_grid interp 1 "$tmp/interp.txt" "$tmp/interp.log")
-compiled_wall=$(run_grid compiled 4 "$tmp/compiled.txt" "$tmp/compiled.log")
 bytecode_wall=$(run_grid bytecode 4 "$tmp/bytecode.txt" "$tmp/bytecode.log")
 
 # Re-run one bytecode cell set with --records to exercise the JSONL sink
@@ -69,16 +68,15 @@ if [ "$record_count" -eq 0 ]; then
   exit 1
 fi
 
-if cmp -s "$tmp/interp.txt" "$tmp/compiled.txt" \
-   && cmp -s "$tmp/interp.txt" "$tmp/bytecode.txt"; then
+if cmp -s "$tmp/interp.txt" "$tmp/bytecode.txt"; then
   identical=true
 else
   identical=false
 fi
 
-# stderr tail: "grid: 14 cells, 123 Minstr simulated (engine compiled, 4 jobs)"
-cells=$(grep -o 'grid: [0-9]* cells' "$tmp/compiled.log" | grep -o '[0-9]*')
-minstr=$(grep -o '[0-9]* Minstr' "$tmp/compiled.log" | grep -o '[0-9]*')
+# stderr tail: "grid: 14 cells, 123 Minstr simulated (engine bytecode, 4 jobs)"
+cells=$(grep -o 'grid: [0-9]* cells' "$tmp/bytecode.log" | grep -o '[0-9]*')
+minstr=$(grep -o '[0-9]* Minstr' "$tmp/bytecode.log" | grep -o '[0-9]*')
 
 micro=$(timeout "$TIMEOUT_S" "$MICRO" 60000 8 2)
 
@@ -89,18 +87,13 @@ micro=$(timeout "$TIMEOUT_S" "$MICRO" 60000 8 2)
   printf '  "simulated_minstr": %s,\n' "$minstr"
   printf '  "seed_interp_wall_s": %s,\n' "$SEED_WALL_S"
   printf '  "interp_wall_s": %s,\n' "$interp_wall"
-  printf '  "compiled_jobs4_wall_s": %s,\n' "$compiled_wall"
   printf '  "bytecode_jobs4_wall_s": %s,\n' "$bytecode_wall"
-  awk -v s="$SEED_WALL_S" -v i="$interp_wall" -v c="$compiled_wall" \
-    -v y="$bytecode_wall" -v m="$minstr" 'BEGIN {
+  awk -v s="$SEED_WALL_S" -v i="$interp_wall" -v y="$bytecode_wall" \
+    -v m="$minstr" 'BEGIN {
       printf "  \"interp_minstr_per_s\": %.2f,\n", m / i;
-      printf "  \"compiled_minstr_per_s\": %.2f,\n", m / c;
       printf "  \"bytecode_minstr_per_s\": %.2f,\n", m / y;
-      printf "  \"speedup_vs_seed\": %.2f,\n", s / c;
-      printf "  \"speedup_vs_interp\": %.2f,\n", i / c;
       printf "  \"bytecode_speedup_vs_seed\": %.2f,\n", s / y;
-      printf "  \"bytecode_speedup_vs_interp\": %.2f,\n", i / y;
-      printf "  \"bytecode_vs_compiled\": %.2f,\n", c / y }'
+      printf "  \"bytecode_speedup_vs_interp\": %.2f,\n", i / y }'
   printf '  "tables_identical": %s,\n' "$identical"
   printf '  "run_records": %s,\n' "$record_count"
   printf '  "microbench":\n'
@@ -108,31 +101,18 @@ micro=$(timeout "$TIMEOUT_S" "$MICRO" 60000 8 2)
   printf '}\n'
 } >"$OUT"
 
-echo "wrote $OUT (interp ${interp_wall}s, compiled+4jobs ${compiled_wall}s," \
-  "bytecode+4jobs ${bytecode_wall}s, tables_identical=$identical," \
-  "records=$record_count)"
+echo "wrote $OUT (interp ${interp_wall}s, bytecode+4jobs ${bytecode_wall}s," \
+  "tables_identical=$identical, records=$record_count)"
 
-# Bytecode throughput gate: the flat-bytecode engine must stay within 5%
-# of the closure compiler on the same-run grid (it is normally ahead; the
-# tolerance absorbs host noise on small --quick cells).
-if awk -v c="$compiled_wall" -v y="$bytecode_wall" \
-     'BEGIN { exit !(c / y < 0.95) }'; then
-  echo "bench_smoke: FAIL — bytecode grid ${bytecode_wall}s is slower than" \
-    "0.95x compiled ${compiled_wall}s" >&2
-  exit 1
-fi
-echo "bytecode gate: ${bytecode_wall}s vs compiled ${compiled_wall}s" \
-  "(>= 0.95x compiled throughput) — ok"
-
-if [ -n "$prev_compiled_wall" ]; then
-  if awk -v now="$compiled_wall" -v prev="$prev_compiled_wall" \
+if [ -n "$prev_bytecode_wall" ]; then
+  if awk -v now="$bytecode_wall" -v prev="$prev_bytecode_wall" \
        -v lim="$MAX_REGRESS" 'BEGIN { exit !(now > prev * lim) }'; then
-    echo "bench_smoke: FAIL — tracing-off compiled wall ${compiled_wall}s" \
-      "exceeds ${MAX_REGRESS}x previous ${prev_compiled_wall}s" >&2
+    echo "bench_smoke: FAIL — tracing-off bytecode wall ${bytecode_wall}s" \
+      "exceeds ${MAX_REGRESS}x previous ${prev_bytecode_wall}s" >&2
     exit 1
   fi
-  echo "regression gate: compiled ${compiled_wall}s vs previous" \
-    "${prev_compiled_wall}s (limit ${MAX_REGRESS}x) — ok"
+  echo "regression gate: bytecode ${bytecode_wall}s vs previous" \
+    "${prev_bytecode_wall}s (limit ${MAX_REGRESS}x) — ok"
 fi
 
 # @serve-smoke section: replay the hot/cold Zipf mix through the serving

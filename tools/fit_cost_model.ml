@@ -87,7 +87,10 @@ let () =
         let sweep = Tuning.tune ~engine ~st machine enc coo in
         let f = Features.extract ~machine enc coo in
         let pred = Cost_model.predict machine f in
-        let full v = Driver.spmv ~engine ~st machine v enc coo in
+        let full variant =
+          Driver.run (Driver.Cfg.make ~engine ~st ~machine ~variant ())
+            (Driver.Spmv enc) coo
+        in
         let sweep_run = full sweep.Tuning.chosen in
         let model_run =
           if Cost_model.same_choice sweep.Tuning.chosen pred.Cost_model.p_variant

@@ -8,8 +8,7 @@
 #     (default 1.15x) the generic bytecode run in virtual cycles;
 #   - specialized outputs are bit-identical to generic outputs and
 #     within 1e-9 of the dense reference;
-#   - the specialized report is identical across interp / compiled /
-#     bytecode;
+#   - the specialized report is identical across interp / bytecode;
 #   - steady-state wall-clock geomean of specialized over generic
 #     bytecode is > 1.0;
 #   - a warm serve replay serves specialized artefacts from cache
