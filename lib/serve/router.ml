@@ -31,24 +31,21 @@ type t = {
    differing in a trailing counter ("shard:4:0" .. "shard:4:63") keep
    near-identical top bits and clump together on the ring, starving a
    new shard of arc. A 64-bit avalanche finalizer after the fold gives
-   every input byte full-width influence. *)
+   every input byte full-width influence. The accumulator is a local
+   ref no closure captures, so the native compiler keeps it unboxed. *)
 let hash (s : string) : int =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
-  let mix h =
-    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-    let h = Int64.mul h 0xff51afd7ed558ccdL in
-    let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-    let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
-    Int64.logxor h (Int64.shift_right_logical h 33)
-  in
-  Int64.to_int (mix !h) land max_int
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code s.[i])))
+        0x100000001b3L
+  done;
+  let h = Int64.logxor !h (Int64.shift_right_logical !h 33) in
+  let h = Int64.mul h 0xff51afd7ed558ccdL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+  Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 33)) land max_int
 
 let default_vnodes = 64
 

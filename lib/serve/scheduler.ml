@@ -31,6 +31,13 @@
    pure function of the request list and config — byte-identical
    records at any [jobs].
 
+   Every distinct versioned fingerprint is interned to a dense int id
+   before pass 1, and tenants likewise, so the settle loop does integer
+   work per event: routing is one hash per id, shard LRUs are keyed by
+   id, batching compares ids, shard queues are fixed ring buffers, and
+   the fingerprint string survives only as the one copy every record of
+   its id shares.
+
    Determinism argument for the loop: dispatch candidates are settled
    one event at a time. The next event is either the earliest pending
    arrival (admitted to its home shard, possibly shed) or the earliest
@@ -185,9 +192,66 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
   let nshards = config.Config.shards in
   let router = Router.create ~vnodes:config.Config.vnodes ~shards:nshards () in
   let jobs = config.Config.jobs in
+  let has_deadline = Array.map (fun r -> r.Request.deadline <> None) reqs in
+
+  (* --- Interned artefact ids --------------------------------------- *)
+  (* Every distinct versioned fingerprint gets a dense int id, in order
+     of first appearance: a request's primary, then — only for a
+     deadline-carrying request, the only kind [Degrade] can demote — its
+     fallback. The first producer of an id is its representative. Only
+     fields inside the (versioned) fingerprint affect the build, so any
+     representative yields the same entry. Past this point the replay
+     compares, hashes and routes ids; the fingerprint string is built
+     once per request and kept once per id. *)
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let reps = ref [] in
+  let intern (req : Request.t) v =
+    let key = vkey (Request.fingerprint req) v in
+    match Hashtbl.find_opt ids key with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids key id;
+      reps := (key, req, v) :: !reps;
+      id
+  in
+  let prim = Array.make n 0 in
+  let fb = Array.make n (-1) in
+  Array.iteri
+    (fun i r ->
+      prim.(i) <- intern r ver.(i);
+      if has_deadline.(i) then fb.(i) <- intern (Request.fallback r) ver.(i))
+    reqs;
+  let reps = Array.of_list (List.rev !reps) in
+  let nids = Array.length reps in
+  let id_fp = Array.map (fun (key, _, _) -> key) reps in
+  let id_req = Array.map (fun (_, req, _) -> req) reps in
+  let id_ver = Array.map (fun (_, _, v) -> v) reps in
+  let id_of i = function `Primary -> prim.(i) | `Fallback -> fb.(i) in
+  (* Home shard: consistent hash of the fingerprint, once per id. *)
+  let id_home = Array.map (Router.shard_of router) id_fp in
+  let home i = id_home.(prim.(i)) in
+  (* Tenants, interned the same way: admission and the per-tenant
+     summary index arrays instead of hashing names. *)
+  let tenant_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let tenant =
+    Array.map
+      (fun r ->
+        let t = r.Request.tenant in
+        match Hashtbl.find_opt tenant_ids t with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length tenant_ids in
+          Hashtbl.add tenant_ids t k;
+          k)
+      reqs
+  in
+  let ntenants = Hashtbl.length tenant_ids in
+  let tenant_name = Array.make ntenants "" in
+  Hashtbl.iter (fun t k -> tenant_name.(k) <- t) tenant_ids;
 
   (* --- Pass 1: host-side builds ------------------------------------ *)
-  let matrices = build_matrices ~jobs reqs in
+  let matrices = build_matrices ~jobs id_req in
   (* Versioned matrices: version v of a spec is its base generation with
      the first v updates applied cumulatively (sequential — deltas are
      small next to generation, and the fold is inherently ordered). *)
@@ -205,133 +269,82 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
       end)
     upd_by_matrix;
   let coo_of r v = Hashtbl.find mat_v (r.Request.matrix, v) in
-  let fp =
-    Array.mapi (fun i r -> vkey (Request.fingerprint r) ver.(i)) reqs
-  in
-  let fb_req = Array.map Request.fallback reqs in
-  (* The fallback shares matrix and arrival, hence the version. *)
-  let fb_fp =
-    Array.mapi (fun i r -> vkey (Request.fingerprint r) ver.(i)) fb_req
-  in
-  let has_deadline = Array.map (fun r -> r.Request.deadline <> None) reqs in
-  (* --- Pack-memoisation pre-pass ----------------------------------- *)
-  (* Packing is a pure function of (matrix, version, encoding), and many
-     distinct fingerprints share one: same matrix under the same format
-     across variants, engines or tuning modes. Each distinct triple
-     packs once here (sorted keys, index-slotted Par.map — jobs-
-     invariant) and every build consumes the shared storage. The format
-     enters the key in canonical form so spellings that resolve to the
-     same encoding (["bsr"] vs ["bsr4x4"]) share one pack. Disabled
-     with the cache ([cache_capacity = 0]): the uncached baseline pays
-     every pack, like it pays every build. *)
-  let pack_norm fmt = if String.equal fmt "bsr" then "bsr4x4" else fmt in
-  let pack_key_of (req : Request.t) v : (string * int * string) option =
-    match
-      Request.encoding_of_format req.Request.kernel req.Request.format
-    with
-    | Some _ when req.Request.kernel <> `Ttv ->
-      if Coo.rank (coo_of req v) = 2 then
-        Some (req.Request.matrix, v, pack_norm req.Request.format)
-      else None
-    | _ -> None
-  in
-  let pack_rep : (string * int * string, Request.t * int) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  if caching then
-    Array.iteri
-      (fun i r ->
-        match pack_key_of r ver.(i) with
-        | Some k ->
-          if not (Hashtbl.mem pack_rep k) then Hashtbl.add pack_rep k (r, ver.(i))
-        | None -> ())
-      reqs;
-  let pack_keys =
-    Hashtbl.fold (fun k _ acc -> k :: acc) pack_rep []
-    |> List.sort compare |> Array.of_list
-  in
-  let packed =
-    Par.map ~jobs
-      (fun k ->
-        let req, v = Hashtbl.find pack_rep k in
-        let enc =
-          Option.get
-            (Request.encoding_of_format req.Request.kernel req.Request.format)
-        in
-        Storage.pack enc (coo_of req v))
-      pack_keys
-  in
-  let prepack_tbl :
-      (string * int * string, Storage.t) Hashtbl.t =
-    Hashtbl.create (Array.length pack_keys)
-  in
-  Array.iteri (fun i k -> Hashtbl.add prepack_tbl k packed.(i)) pack_keys;
-  let prepack_of req v =
-    match pack_key_of req v with
-    | Some k -> Hashtbl.find_opt prepack_tbl k
-    | None -> None
-  in
-  let build_one ((req : Request.t), v) =
-    match prepack_of req v with
-    | Some st -> Build.build ~st req (coo_of req v)
-    | None -> Build.build req (coo_of req v)
-  in
-  (* Fingerprint -> (matrix, version), for update invalidation and the
-     stale-hit invariant check at dispatch. *)
-  let fp_meta : (string, string * int) Hashtbl.t = Hashtbl.create (2 * n) in
-  Array.iteri
-    (fun i r ->
-      Hashtbl.replace fp_meta fp.(i) (r.Request.matrix, ver.(i));
-      Hashtbl.replace fp_meta fb_fp.(i) (r.Request.matrix, ver.(i)))
-    reqs;
-  (* Work items: with caching, one per distinct fingerprint (plus the
-     fallback fingerprint of every deadline-carrying request — built
-     eagerly so degradation never blocks); without, one per request.
-     [built] keeps every entry in a deterministic order (sorted
-     fingerprints when caching — grouped by home shard for a fleet —
-     input order otherwise) so the tuning counters aggregated from them
-     are jobs-invariant. *)
-  let entry_for, builds, built, pack_uses =
+  let build_one st ((req : Request.t), v) = Build.build ?st req (coo_of req v) in
+  (* Work items: with caching, one per id (the fallback of every
+     deadline-carrying request is built eagerly so degradation never
+     blocks); without, one per request. [built] keeps every entry in a
+     deterministic order (sorted fingerprints when caching — grouped by
+     home shard for a fleet — input order otherwise) so the tuning
+     counters aggregated from them are jobs-invariant. *)
+  let entry_for, builds, built, pack_uses, packs =
     if caching then begin
-      (* Representative request per fingerprint: the first (by input
-         index) request — or fallback form — that produces it, paired
-         with its matrix version. Only fields inside the (versioned)
-         fingerprint affect the build, so any representative yields the
-         same entry. *)
-      let rep : (string, Request.t * int) Hashtbl.t =
-        Hashtbl.create (2 * n)
+      (* --- Pack-memoisation pre-pass ------------------------------- *)
+      (* Packing is a pure function of (matrix, version, encoding), and
+         many distinct ids share one: same matrix under the same format
+         across variants, engines or tuning modes. Each distinct triple
+         packs once here (sorted keys, index-slotted Par.map — jobs-
+         invariant) and every build consumes the shared storage. The
+         format enters the key in canonical form so spellings that
+         resolve to the same encoding (["bsr"] vs ["bsr4x4"]) share one
+         pack. Only with the cache: the uncached baseline pays every
+         pack, like it pays every build. *)
+      let pack_norm fmt = if String.equal fmt "bsr" then "bsr4x4" else fmt in
+      let id_pack =
+        Array.init nids (fun id ->
+            let req = id_req.(id) and v = id_ver.(id) in
+            match
+              Request.encoding_of_format req.Request.kernel req.Request.format
+            with
+            | Some enc when req.Request.kernel <> `Ttv ->
+              if Coo.rank (coo_of req v) = 2 then
+                Some (req.Request.matrix, v, pack_norm req.Request.format, enc)
+              else None
+            | _ -> None)
       in
-      let note key req v =
-        if not (Hashtbl.mem rep key) then Hashtbl.add rep key (req, v)
-      in
+      (* The first id of each pack key is its representative. *)
+      let pack_rep = Hashtbl.create 16 in
       Array.iteri
-        (fun i r ->
-          note fp.(i) r ver.(i);
-          if has_deadline.(i) then note fb_fp.(i) fb_req.(i) ver.(i))
-        reqs;
-      let keys =
-        Hashtbl.fold (fun k _ acc -> k :: acc) rep []
-        |> List.sort String.compare |> Array.of_list
+        (fun id -> function
+          | Some (m, v, f, enc) ->
+            if not (Hashtbl.mem pack_rep (m, v, f)) then
+              Hashtbl.add pack_rep (m, v, f) (enc, coo_of id_req.(id) v)
+          | None -> ())
+        id_pack;
+      let pack_keys =
+        Hashtbl.fold (fun k _ acc -> k :: acc) pack_rep []
+        |> List.sort compare |> Array.of_list
       in
-      let keys, entries =
-        if nshards = 1 then
-          ( keys,
-            Par.map ~jobs (fun key -> build_one (Hashtbl.find rep key)) keys )
+      let packed =
+        Par.map ~jobs
+          (fun k ->
+            let enc, coo = Hashtbl.find pack_rep k in
+            Storage.pack enc coo)
+          pack_keys
+      in
+      let prepack_tbl = Hashtbl.create (Array.length pack_keys) in
+      Array.iteri (fun i k -> Hashtbl.add prepack_tbl k packed.(i)) pack_keys;
+      let prepack =
+        Array.map
+          (Option.map (fun (m, v, f, _) -> Hashtbl.find prepack_tbl (m, v, f)))
+          id_pack
+      in
+      let build_id id =
+        build_one prepack.(id) (id_req.(id), id_ver.(id))
+      in
+      let order = Array.init nids Fun.id in
+      Array.stable_sort (fun a b -> String.compare id_fp.(a) id_fp.(b)) order;
+      let order, entries =
+        if nshards = 1 then (order, Par.map ~jobs build_id order)
         else begin
-          (* Group the keys by home shard (each group stays sorted) and
+          (* Group the ids by home shard (each group stays sorted) and
              build every group on its leased slice of one persistent
              pool — shard i's builds use shard i's worker budget. *)
           let groups = Array.make nshards [] in
           Array.iter
-            (fun key ->
-              let s = Router.shard_of router key in
-              groups.(s) <- key :: groups.(s))
-            keys;
+            (fun id -> groups.(id_home.(id)) <- id :: groups.(id_home.(id)))
+            order;
           let groups =
             Array.map (fun g -> Array.of_list (List.rev g)) groups
-          in
-          let build_group slice_map g =
-            slice_map (fun key -> build_one (Hashtbl.find rep key)) g
           in
           let per_shard =
             if jobs > 1 then begin
@@ -339,34 +352,29 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
               let slices = Par.lease pool ~shards:nshards in
               let r =
                 Array.mapi
-                  (fun s g -> build_group (Par.map_slice slices.(s)) g)
+                  (fun s g -> Par.map_slice slices.(s) build_id g)
                   groups
               in
               Par.shutdown pool;
               r
             end
-            else Array.map (build_group Array.map) groups
+            else Array.map (Array.map build_id) groups
           in
           ( Array.concat (Array.to_list groups),
             Array.concat (Array.to_list per_shard) )
         end
       in
-      let tbl = Hashtbl.create (Array.length keys) in
-      Array.iteri (fun i key -> Hashtbl.add tbl key entries.(i)) keys;
-      (* Builds that consumed a shared pack, counted over the
-         deterministic key list — jobs-invariant, like the builds. *)
+      let slot = Array.make nids 0 in
+      Array.iteri (fun k id -> slot.(id) <- k) order;
+      (* Builds that consumed a shared pack — jobs-invariant, like the
+         builds. *)
       let pack_uses =
         Array.fold_left
-          (fun acc key ->
-            let req, v = Hashtbl.find rep key in
-            if prepack_of req v <> None then acc + 1 else acc)
-          0 keys
+          (fun acc st -> if st <> None then acc + 1 else acc)
+          0 prepack
       in
-      let lookup i = function
-        | `Primary -> Hashtbl.find tbl fp.(i)
-        | `Fallback -> Hashtbl.find tbl fb_fp.(i)
-      in
-      (lookup, Array.length keys, entries, pack_uses)
+      ( (fun i which -> entries.(slot.(id_of i which))),
+        nids, entries, pack_uses, Array.length pack_keys )
     end
     else begin
       (* Uncached baseline: every request pays its own build — primaries
@@ -380,17 +388,16 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
       let work =
         Array.append
           (Array.mapi (fun i r -> (r, ver.(i))) reqs)
-          (Array.map (fun i -> (fb_req.(i), ver.(i))) fb_idx)
+          (Array.map (fun i -> (Request.fallback reqs.(i), ver.(i))) fb_idx)
       in
-      let entries = Par.map ~jobs build_one work in
-      let prim = Array.sub entries 0 n in
+      let entries = Par.map ~jobs (build_one None) work in
       let fbent : Build.entry option array = Array.make n None in
       Array.iteri (fun k i -> fbent.(i) <- Some entries.(n + k)) fb_idx;
       let lookup i = function
-        | `Primary -> prim.(i)
+        | `Primary -> entries.(i)
         | `Fallback -> Option.get fbent.(i)
       in
-      (lookup, Array.length work, entries, 0)
+      (lookup, Array.length work, entries, 0, 0)
     end
   in
 
@@ -403,7 +410,6 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
         else None)
       reqs
   in
-  let home = Array.map (fun key -> Router.shard_of router key) fp in
   (* Arrivals in (arrival, index) order. *)
   let pending =
     ref
@@ -414,7 +420,8 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
   let shards =
     Array.init nshards (fun index ->
         Shard.create ~index ~servers:config.Config.servers
-          ~cache_capacity:config.Config.cache_capacity)
+          ~cache_capacity:config.Config.cache_capacity
+          ~queue_limit:config.Config.queue_limit)
   in
   (* Update events in fire order, each tagged with the version it brings
      its matrix to. Firing drops every cached entry of an older version
@@ -433,28 +440,19 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
   in
   let pending_updates = ref update_events in
   let fire_update ((u : Request.Update.t), vnew) =
+    let m = u.Request.Update.u_matrix in
     Array.iter
       (fun sh ->
         let removed =
-          Lru.remove_if sh.Shard.lru (fun key ->
-              match Hashtbl.find_opt fp_meta key with
-              | Some (m, v) ->
-                String.equal m u.Request.Update.u_matrix && v < vnew
-              | None -> false)
+          Lru.remove_if sh.Shard.lru (fun id ->
+              String.equal id_req.(id).Request.matrix m && id_ver.(id) < vnew)
         in
         sh.Shard.invalidated <- sh.Shard.invalidated + removed)
       shards
   in
-  let tenant_queued : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let tenant_quota_shed : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let tcount tenant =
-    match Hashtbl.find_opt tenant_queued tenant with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.add tenant_queued tenant r;
-      r
-  in
+  let tenant_quota = Array.map (Config.quota_of config) tenant_name in
+  let tenant_queued = Array.make ntenants 0 in
+  let tenant_quota_shed = Array.make ntenants 0 in
   let total_q = ref 0 in
   let fleet_queue_peak = ref 0 in
   let inflight_peak = ref 0 in
@@ -469,49 +467,47 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
     | Some tr ->
       Chrome.add_instant tr ~track:"admission" ~name:reqs.(i).Request.id
         ~cat:"shed" ~ts:(us_of_ms (arrival i))
-        [ ("fp", Jsonu.Str fp.(i)) ]
+        [ ("fp", Jsonu.Str id_fp.(prim.(i))) ]
   in
   (* Admission sheds (queue full or quota) are attributed to the
      request's home shard; its record never reached a server, so
      r_shard = r_home. *)
   let shed_at_admission why i =
-    let s = home.(i) in
+    let s = home i in
     shards.(s).Shard.shed <- shards.(s).Shard.shed + 1;
     (if why = `Quota then
-       let t = reqs.(i).Request.tenant in
-       Hashtbl.replace tenant_quota_shed t
-         (1 + Option.value (Hashtbl.find_opt tenant_quota_shed t) ~default:0));
+       let k = tenant.(i) in
+       tenant_quota_shed.(k) <- tenant_quota_shed.(k) + 1);
     recs.(i) <-
       Some
-        { r_index = i; r_req = reqs.(i); r_outcome = Shed; r_fp = fp.(i);
-          r_hit = false; r_batch = 0; r_queue_ms = 0.; r_service_ms = 0.;
-          r_finish_ms = arrival i; r_shard = s; r_home = s; r_stolen = false;
-          r_result = None };
+        { r_index = i; r_req = reqs.(i); r_outcome = Shed;
+          r_fp = id_fp.(prim.(i)); r_hit = false; r_batch = 0;
+          r_queue_ms = 0.; r_service_ms = 0.; r_finish_ms = arrival i;
+          r_shard = s; r_home = s; r_stolen = false; r_result = None };
     trace_shed i
   in
   let admit_one i =
-    let tenant = reqs.(i).Request.tenant in
-    let tc = tcount tenant in
+    let k = tenant.(i) in
     let over_quota =
-      match Config.quota_of config tenant with
-      | Some q -> !tc >= q
+      match tenant_quota.(k) with
+      | Some q -> tenant_queued.(k) >= q
       | None -> false
     in
     if over_quota then shed_at_admission `Quota i
     else begin
-      let sh = shards.(home.(i)) in
-      if sh.Shard.qlen >= config.Config.queue_limit then
-        shed_at_admission `Queue i
+      let sh = shards.(home i) in
+      if Shard.full sh then shed_at_admission `Queue i
       else begin
         Shard.enqueue sh i;
-        incr tc;
+        tenant_queued.(k) <- tenant_queued.(k) + 1;
         incr total_q;
         if !total_q > !fleet_queue_peak then fleet_queue_peak := !total_q
       end
     end
   in
   let unqueued i =
-    decr (tcount reqs.(i).Request.tenant);
+    let k = tenant.(i) in
+    tenant_queued.(k) <- tenant_queued.(k) - 1;
     decr total_q
   in
   (* The earliest possible dispatch across the fleet:
@@ -532,15 +528,16 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
     in
     for s = 0 to nshards - 1 do
       let sh = shards.(s) in
-      match Shard.head sh with
-      | Some h ->
-        consider (Float.max sh.Shard.free.(Shard.min_server sh) (arrival h)) s s
-      | None -> ()
+      if sh.Shard.qlen > 0 then
+        consider
+          (Float.max sh.Shard.free.(Shard.min_server sh)
+             (arrival (Shard.head sh)))
+          s s
     done;
     if config.Config.stealing then
       for s = 0 to nshards - 1 do
         let sh = shards.(s) in
-        if Shard.head sh = None then begin
+        if sh.Shard.qlen = 0 then begin
           let v = ref (-1) in
           for u = 0 to nshards - 1 do
             if
@@ -549,12 +546,11 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
               && (!v < 0 || shards.(u).Shard.qlen > shards.(!v).Shard.qlen)
             then v := u
           done;
-          if !v >= 0 then begin
-            let h = Option.get (Shard.head shards.(!v)) in
+          if !v >= 0 then
             consider
-              (Float.max sh.Shard.free.(Shard.min_server sh) (arrival h))
+              (Float.max sh.Shard.free.(Shard.min_server sh)
+                 (arrival (Shard.head shards.(!v))))
               s !v
-          end
         end
       done;
     !best
@@ -573,10 +569,10 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
       src.Shard.shed <- src.Shard.shed + 1;
       recs.(h) <-
         Some
-          { r_index = h; r_req = reqs.(h); r_outcome = Shed; r_fp = fp.(h);
-            r_hit = false; r_batch = 0; r_queue_ms = t0 -. arrival h;
-            r_service_ms = 0.; r_finish_ms = t0; r_shard = v;
-            r_home = home.(h); r_stolen = false; r_result = None };
+          { r_index = h; r_req = reqs.(h); r_outcome = Shed;
+            r_fp = id_fp.(prim.(h)); r_hit = false; r_batch = 0;
+            r_queue_ms = t0 -. arrival h; r_service_ms = 0.; r_finish_ms = t0;
+            r_shard = v; r_home = home h; r_stolen = false; r_result = None };
       trace_shed h
     end
     else begin
@@ -585,16 +581,15 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
         | Config.Degrade when expired ~t0 i -> `Fallback
         | Config.Degrade | Config.Drop | Config.Ignore -> `Primary
       in
-      let fp_of i = function `Primary -> fp.(i) | `Fallback -> fb_fp.(i) in
       let eh = eff h in
-      let key = fp_of h eh in
+      let key = id_of h eh in
       let batch =
         if config.Config.batching && caching then begin
-          (* Under Drop, expired same-key waiters stay queued (they drop
+          (* Under Drop, expired same-id waiters stay queued (they drop
              when they reach the head) instead of riding the batch. *)
           let mates =
             Shard.take_matching src (fun j ->
-                String.equal (fp_of j (eff j)) key
+                id_of j (eff j) = key
                 && not
                      (config.Config.deadline_policy = Config.Drop
                       && expired ~t0 j))
@@ -617,11 +612,8 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
          version the request's arrival pinned. Versioned fingerprints
          make a violation structurally impossible; the counter proves
          it stayed that way. *)
-      (if hit then
-         match Hashtbl.find_opt fp_meta key with
-         | Some (_, v_entry) when v_entry <> ver.(h) ->
-           sh.Shard.stale_hits <- sh.Shard.stale_hits + 1
-         | _ -> ());
+      if hit && id_ver.(key) <> ver.(h) then
+        sh.Shard.stale_hits <- sh.Shard.stale_hits + 1;
       if hit && entry.Build.e_spec then spec_hits := !spec_hits + nb;
       if not hit then ignore (Lru.add sh.Shard.lru key entry);
       let penalty =
@@ -629,6 +621,7 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
         else Build.miss_penalty_ms ~compile_ms:config.Config.compile_ms entry
       in
       let run_ms = entry.Build.e_run_ms in
+      let fp = id_fp.(key) in
       List.iteri
         (fun pos j ->
           let start = t0 +. penalty +. (run_ms *. float_of_int pos) in
@@ -638,10 +631,10 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
           recs.(j) <-
             Some
               { r_index = j; r_req = reqs.(j); r_outcome = outcome;
-                r_fp = key; r_hit = hit; r_batch = nb;
+                r_fp = fp; r_hit = hit; r_batch = nb;
                 r_queue_ms = t0 -. arrival j;
                 r_service_ms = (if pos = 0 then penalty +. run_ms else run_ms);
-                r_finish_ms = finish; r_shard = s; r_home = home.(j);
+                r_finish_ms = finish; r_shard = s; r_home = home j;
                 r_stolen = s <> v; r_result = Some entry.Build.e_result };
           match trace with
           | None -> ()
@@ -654,7 +647,7 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
             Chrome.add_complete tr ~track ~name:reqs.(j).Request.id
               ~cat:"serve" ~ts
               ~dur:(us_of_ms finish - ts)
-              [ ("fp", Jsonu.Str key);
+              [ ("fp", Jsonu.Str fp);
                 ("hit", Jsonu.Bool hit);
                 ("outcome", Jsonu.Str (outcome_to_string outcome));
                 ("batch", Jsonu.Int nb) ])
@@ -671,6 +664,7 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
       if inflight > !inflight_peak then inflight_peak := inflight
     end
   in
+
   (* The settle loop: one event per iteration — the earliest pending
      arrival when it is at or before the earliest candidate dispatch
      (so admission chronology is exact: a dispatch at t0 sees exactly
@@ -781,35 +775,30 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
       ~stale_hits:(fleet "cache.stale_hit") ()
   in
   Slo.register registry summary;
-  (* Per-tenant admission accounting, sorted by tenant name. *)
-  let tenants =
-    Array.fold_left
-      (fun acc r -> r.r_req.Request.tenant :: acc)
-      (Hashtbl.fold (fun t _ acc -> t :: acc) tenant_quota_shed [])
-      records
-    |> List.sort_uniq String.compare
-  in
-  List.iter
-    (fun t ->
-      let pre leaf = Printf.sprintf "serve.tenant.%s.%s" t leaf in
-      let requests = ref 0 and ok = ref 0 and deg = ref 0 and shed = ref 0 in
-      Array.iter
-        (fun r ->
-          if String.equal r.r_req.Request.tenant t then begin
-            incr requests;
-            match r.r_outcome with
-            | Served -> incr ok
-            | Degraded -> incr deg
-            | Shed -> incr shed
-          end)
-        records;
-      Registry.set registry (pre "requests") !requests;
-      Registry.set registry (pre "ok") !ok;
-      Registry.set registry (pre "degraded") !deg;
-      Registry.set registry (pre "shed") !shed;
-      Registry.set registry (pre "quota_shed")
-        (Option.value (Hashtbl.find_opt tenant_quota_shed t) ~default:0))
-    tenants;
+  (* Per-tenant admission accounting: one pass over the records,
+     exported in tenant-name order. *)
+  let t_requests = Array.make ntenants 0 and t_ok = Array.make ntenants 0 in
+  let t_deg = Array.make ntenants 0 and t_shed = Array.make ntenants 0 in
+  Array.iter
+    (fun r ->
+      let k = tenant.(r.r_index) in
+      t_requests.(k) <- t_requests.(k) + 1;
+      match r.r_outcome with
+      | Served -> t_ok.(k) <- t_ok.(k) + 1
+      | Degraded -> t_deg.(k) <- t_deg.(k) + 1
+      | Shed -> t_shed.(k) <- t_shed.(k) + 1)
+    records;
+  let by_name = Array.init ntenants Fun.id in
+  Array.sort (fun a b -> String.compare tenant_name.(a) tenant_name.(b)) by_name;
+  Array.iter
+    (fun k ->
+      let pre leaf = Printf.sprintf "serve.tenant.%s.%s" tenant_name.(k) leaf in
+      Registry.set registry (pre "requests") t_requests.(k);
+      Registry.set registry (pre "ok") t_ok.(k);
+      Registry.set registry (pre "degraded") t_deg.(k);
+      Registry.set registry (pre "shed") t_shed.(k);
+      Registry.set registry (pre "quota_shed") tenant_quota_shed.(k))
+    by_name;
   (* Tuning-decision counters, aggregated over the deterministic build
      list: how many builds swept, how many ran the model, how many
      rolled prefetching back — and, for hybrid builds, whether the model
@@ -854,8 +843,8 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
   Registry.set registry "serve.spec.hit" !spec_hits;
   Registry.set registry "serve.spec.miss" spec_misses;
   Registry.set registry "serve.spec.build_ns" spec_build_ns;
-  Registry.set registry "serve.pack.hit" (max 0 (pack_uses - Array.length pack_keys));
-  Registry.set registry "serve.pack.miss" (Array.length pack_keys);
+  Registry.set registry "serve.pack.hit" (max 0 (pack_uses - packs));
+  Registry.set registry "serve.pack.miss" packs;
   { rp_records = records; rp_summary = summary; rp_shards = shard_summaries;
     rp_registry = registry }
 

@@ -20,7 +20,11 @@
    reads as a meaningful tail estimate when it is not (a 5-request
    shard has no p99.9). {!percentile_opt} therefore returns [None]
    below that threshold; the raw {!percentile} survives for callers
-   that want the degenerate value knowingly. *)
+   that want the degenerate value knowingly.
+
+   A summary reads all four quantiles off one sorted copy of its
+   sample: one [Float.compare] sort per latency array, not one per
+   quantile. *)
 
 module Registry = Asap_obs.Registry
 module Jsonu = Asap_obs.Jsonu
@@ -49,19 +53,25 @@ type summary = {
   s_throughput_rps : float;   (* served / virtual makespan *)
 }
 
+let sorted_copy (xs : float array) : float array =
+  let sorted = Array.copy xs in
+  Array.stable_sort Float.compare sorted;
+  sorted
+
+(* Nearest rank on an already sorted sample. *)
+let nearest_rank (sorted : float array) ~(p : float) : float =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
 (** [percentile xs ~p] is the nearest-rank percentile ([p] in [0,100])
     of [xs] (not required sorted; empty yields 0). Degenerates to the
     sample maximum once [p] exceeds the sample's rank resolution — see
     {!percentile_opt} for the honest variant. *)
 let percentile (xs : float array) ~(p : float) : float =
-  let n = Array.length xs in
-  if n = 0 then 0.
-  else begin
-    let sorted = Array.copy xs in
-    Array.sort compare sorted;
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
+  nearest_rank (sorted_copy xs) ~p
 
 (** [min_samples ~p] is the smallest sample count whose nearest-rank
     p-th percentile is not simply the maximum: ceil (100 / (100 - p)).
@@ -82,20 +92,26 @@ let percentile_opt (xs : float array) ~(p : float) : float option =
   if Array.length xs < min_samples ~p then None
   else Some (percentile xs ~p)
 
+(* {!percentile_opt} on an already sorted sample. *)
+let nearest_rank_opt (sorted : float array) ~(p : float) : float option =
+  if Array.length sorted < min_samples ~p then None
+  else Some (nearest_rank sorted ~p)
+
 let make ?(invalidated = 0) ?(stale_hits = 0) ~latencies_ms ~ok ~degraded
     ~shed ~hits ~misses ~evictions ~batches ~batch_max ~queue_peak
     ~inflight_peak ~builds ~steals ~makespan_ms () : summary =
   let served = ok + degraded in
+  let sorted = sorted_copy latencies_ms in
   { s_total = ok + degraded + shed; s_ok = ok; s_degraded = degraded;
     s_shed = shed; s_hits = hits; s_misses = misses;
     s_evictions = evictions; s_batches = batches; s_batch_max = batch_max;
     s_queue_peak = queue_peak; s_inflight_peak = inflight_peak;
     s_builds = builds; s_steals = steals; s_invalidated = invalidated;
     s_stale_hits = stale_hits;
-    s_p50_ms = percentile latencies_ms ~p:50.;
-    s_p95_ms = percentile latencies_ms ~p:95.;
-    s_p99_ms = percentile_opt latencies_ms ~p:99.;
-    s_p999_ms = percentile_opt latencies_ms ~p:99.9;
+    s_p50_ms = nearest_rank sorted ~p:50.;
+    s_p95_ms = nearest_rank sorted ~p:95.;
+    s_p99_ms = nearest_rank_opt sorted ~p:99.;
+    s_p999_ms = nearest_rank_opt sorted ~p:99.9;
     s_makespan_ms = makespan_ms;
     s_throughput_rps =
       (if makespan_ms > 0. then 1000. *. float_of_int served /. makespan_ms
@@ -221,16 +237,17 @@ type shard_summary = {
 let shard_make ?(invalidated = 0) ?(stale_hits = 0) ~index ~latencies_ms ~ok
     ~degraded ~shed ~hits ~misses ~evictions ~batches ~batch_max ~queue_peak
     ~steals_in ~steals_out () : shard_summary =
+  let sorted = sorted_copy latencies_ms in
   { sh_index = index; sh_ok = ok; sh_degraded = degraded; sh_shed = shed;
     sh_hits = hits; sh_misses = misses; sh_evictions = evictions;
     sh_batches = batches; sh_batch_max = batch_max;
     sh_queue_peak = queue_peak; sh_steals_in = steals_in;
     sh_steals_out = steals_out; sh_invalidated = invalidated;
     sh_stale_hits = stale_hits;
-    sh_p50_ms = percentile_opt latencies_ms ~p:50.;
-    sh_p95_ms = percentile_opt latencies_ms ~p:95.;
-    sh_p99_ms = percentile_opt latencies_ms ~p:99.;
-    sh_p999_ms = percentile_opt latencies_ms ~p:99.9 }
+    sh_p50_ms = nearest_rank_opt sorted ~p:50.;
+    sh_p95_ms = nearest_rank_opt sorted ~p:95.;
+    sh_p99_ms = nearest_rank_opt sorted ~p:99.;
+    sh_p999_ms = nearest_rank_opt sorted ~p:99.9 }
 
 (** [shard_register reg sh] exports [serve.shard.<i>.<leaf>] counters:
     ok / degraded / shed / cache.hit / cache.miss / cache.evict /

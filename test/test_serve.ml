@@ -539,6 +539,27 @@ let test_router_stability () =
         (Router.shard_of r4' k))
     keys
 
+(* Routing is part of the record surface (r_home, r_shard), so the exact
+   ring positions are pinned: any change to the hash or the ring moves
+   these values. *)
+let test_router_pinned () =
+  let r4 = Router.create ~shards:4 () in
+  let r7 = Router.create ~vnodes:8 ~shards:7 () in
+  Alcotest.(check (list (pair int int)))
+    "pinned shard_of"
+    [ (1, 1); (3, 1); (3, 5); (0, 0); (0, 0); (2, 1) ]
+    (List.map
+       (fun k -> (Router.shard_of r4 k, Router.shard_of r7 k))
+       [ ""; "a"; "spmv|csr|powerlaw:400,5|optimized|asap|bytecode";
+         "spmv|csr|powerlaw:400,5|optimized|asap|bytecode|v3";
+         "ttv|csf|tensor3:12,12,12,400|optimized|baseline|bytecode";
+         String.make 300 'z' ]);
+  Alcotest.(check (list int))
+    "pinned hash"
+    [ 3445288215246350630; 189900332573052507; 3266231067139669491;
+      3139340579925872858 ]
+    (List.map Router.hash [ ""; "a"; "shard:3:17"; String.make 300 'z' ])
+
 (* --- Fleet: determinism, stealing, quotas ------------------------------ *)
 
 let fleet_mix ~seed ~n () =
@@ -752,6 +773,87 @@ let test_percentile_resolution () =
      Alcotest.fail "accepted p = 100"
    with Invalid_argument _ -> ())
 
+(* A summary reads its quantiles off one sorted copy of the sample; they
+   must equal the standalone estimators on the same array, and those
+   must equal nearest rank over a polymorphic-compare sort. Sizes
+   straddle every rank-resolution threshold; the narrow value range
+   forces duplicates. *)
+let qcheck_summary_percentiles =
+  let reference xs ~p =
+    let n = Array.length xs in
+    if n = 0 then 0.
+    else begin
+      let s = Array.copy xs in
+      Array.sort compare s;
+      let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+      s.(max 0 (min (n - 1) (rank - 1)))
+    end
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* n = oneofl [ 0; 1; 2; 99; 100; 999; 1000 ] in
+      let* range = int_range 1 40 in
+      array_size (pure n)
+        (map (fun k -> 0.125 *. float_of_int (k - (range / 2))) (int_range 0 range)))
+  in
+  QCheck2.Test.make ~count:80 ~name:"summary percentiles = Slo.percentile" gen
+    (fun xs ->
+      let before = Array.copy xs in
+      let s =
+        Slo.make ~latencies_ms:xs ~ok:0 ~degraded:0 ~shed:0 ~hits:0 ~misses:0
+          ~evictions:0 ~batches:0 ~batch_max:0 ~queue_peak:0 ~inflight_peak:0
+          ~builds:0 ~steals:0 ~makespan_ms:0. ()
+      in
+      let sh =
+        Slo.shard_make ~index:0 ~latencies_ms:xs ~ok:0 ~degraded:0 ~shed:0
+          ~hits:0 ~misses:0 ~evictions:0 ~batches:0 ~batch_max:0 ~queue_peak:0
+          ~steals_in:0 ~steals_out:0 ()
+      in
+      let pc p = Slo.percentile xs ~p and po p = Slo.percentile_opt xs ~p in
+      s.Slo.s_p50_ms = pc 50. && s.Slo.s_p95_ms = pc 95.
+      && s.Slo.s_p99_ms = po 99. && s.Slo.s_p999_ms = po 99.9
+      && sh.Slo.sh_p50_ms = po 50. && sh.Slo.sh_p95_ms = po 95.
+      && sh.Slo.sh_p99_ms = po 99. && sh.Slo.sh_p999_ms = po 99.9
+      && List.for_all (fun p -> pc p = reference xs ~p) [ 50.; 95.; 99.; 99.9 ]
+      && xs = before)
+
+(* --- Shard queue ------------------------------------------------------- *)
+
+let test_shard_queue () =
+  let module Shard = Asap_serve.Shard in
+  let sh = Shard.create ~index:0 ~servers:1 ~cache_capacity:0 ~queue_limit:4 in
+  let rec drain acc =
+    if sh.Shard.qlen = 0 then List.rev acc else drain (Shard.take sh :: acc)
+  in
+  List.iter (Shard.enqueue sh) [ 10; 11; 12; 13 ];
+  check "full at queue_limit" true (Shard.full sh);
+  (try
+     Shard.enqueue sh 14;
+     Alcotest.fail "enqueued past queue_limit"
+   with Invalid_argument _ -> ());
+  check_int "qlen" 4 sh.Shard.qlen;
+  check_int "head is the oldest" 10 (Shard.head sh);
+  check_int "take pops the head" 10 (Shard.take sh);
+  check "no longer full" false (Shard.full sh);
+  (* 14 wraps into the ring slot 10 vacated; the queue is 11 12 13 14. *)
+  Shard.enqueue sh 14;
+  check_int "peak" 4 sh.Shard.queue_peak;
+  Alcotest.(check (list int))
+    "taken in FIFO order" [ 12; 14 ]
+    (Shard.take_matching sh (fun i -> i mod 2 = 0));
+  check_int "qlen after take_matching" 2 sh.Shard.qlen;
+  Shard.enqueue sh 15;
+  Shard.enqueue sh 16;
+  Alcotest.(check (list int))
+    "kept in FIFO order, new arrivals behind" [ 11; 13; 15; 16 ] (drain []);
+  check_int "peak survives draining" 4 sh.Shard.queue_peak;
+  Alcotest.(check (list int))
+    "take_matching on empty" [] (Shard.take_matching sh (fun _ -> true));
+  try
+    ignore (Shard.head sh);
+    Alcotest.fail "head of an empty queue"
+  with Invalid_argument _ -> ()
+
 let test_config_validate () =
   List.iter
     (fun c ->
@@ -926,8 +1028,103 @@ let test_update_versioning_order () =
       (a.Driver.out_f <> b.Driver.out_f)
   | _ -> Alcotest.fail "expected both requests served"
 
+(* --- Golden replay -------------------------------------------------------- *)
+
+(* One seeded fleet replay that exercises every scheduling path at once:
+   4 shards with one server each, a tight queue (overload shedding), a
+   tenant quota, stealing, batching, streaming-update invalidation, and
+   requests with short, long and no deadlines. The digests below pin the
+   exact bytes of every record line, the fleet and per-shard summaries,
+   the registry and the Chrome trace under each deadline policy, so a
+   change to the scheduler's bookkeeping that moves any observable byte
+   fails here — the jobs-invariance tests only compare runs of one
+   build against each other. *)
+let golden_replay policy =
+  let profiles = small_profiles () in
+  let reqs =
+    Mix.hot_cold ~mean_gap_ms:0.002 ~seed:41 ~n:240
+      ~tenants:[ ("alpha", 3.); ("beta", 1.); ("gamma", 1.) ]
+      profiles
+    |> List.mapi (fun i r ->
+           let deadline =
+             match i mod 3 with
+             | 0 -> Some (Request.Ms 0.001)
+             | 1 -> Some (Request.Ms 0.2)
+             | _ -> None
+           in
+           { r with Request.deadline })
+  in
+  let updates = Mix.update_stream ~seed:41 ~n:6 ~mean_gap_ms:0.06 profiles in
+  let config =
+    Config.(
+      default |> with_shards 4 |> with_servers 1 |> with_queue_limit 6
+      |> with_quotas [ ("alpha", 9) ] |> with_deadline_policy policy)
+  in
+  let trace = Asap_obs.Chrome.create () in
+  let rp = Scheduler.run ~trace ~updates config reqs in
+  (rp, trace)
+
+let golden_digests (rp, trace) =
+  let md5 parts = Digest.to_hex (Digest.string (String.concat "\n" parts)) in
+  let json = Asap_obs.Jsonu.to_string in
+  [ ("records", md5 (lines rp));
+    ("summary",
+     md5
+       (json (Slo.to_json rp.Scheduler.rp_summary)
+        :: Array.to_list
+             (Array.map
+                (fun sh -> json (Slo.shard_to_json sh))
+                rp.Scheduler.rp_shards)));
+    ("registry",
+     md5
+       (List.map
+          (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+          (Registry.to_assoc rp.Scheduler.rp_registry)));
+    ("trace", md5 [ Asap_obs.Chrome.to_string trace ]) ]
+
+let test_golden_replay () =
+  List.iter
+    (fun (policy, pinned) ->
+      let ((rp, _) as run) = golden_replay policy in
+      let name = Config.deadline_policy_to_string policy in
+      (* The trace reaches every path it is meant to pin. *)
+      let s = rp.Scheduler.rp_summary in
+      let find = Registry.find rp.Scheduler.rp_registry in
+      check (name ^ ": steals") true (s.Slo.s_steals > 0);
+      check (name ^ ": batches") true (s.Slo.s_batches > 0);
+      check (name ^ ": sheds") true (s.Slo.s_shed > 0);
+      check (name ^ ": quota sheds") true
+        (find "serve.tenant.alpha.quota_shed" > 0);
+      check (name ^ ": invalidations") true (s.Slo.s_invalidated > 0);
+      check (name ^ ": every shard served") true
+        (Array.for_all
+           (fun sh -> sh.Slo.sh_ok + sh.Slo.sh_degraded > 0)
+           rp.Scheduler.rp_shards);
+      (match policy with
+       | Config.Degrade -> check "degrade: degraded" true (s.Slo.s_degraded > 0)
+       | Config.Drop | Config.Ignore ->
+         check_int (name ^ ": none degraded") 0 s.Slo.s_degraded);
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": digests") pinned (golden_digests run))
+    [ ( Config.Degrade,
+        [ ("records", "ac7ee86238f4c051b343f661d41de0cd");
+          ("summary", "d0efa3b935e04ab72886669e24f5a8a7");
+          ("registry", "03adf7e9efde21a002680026ef58f71c");
+          ("trace", "2a5768c52e7e4be6b8c3a6bad742273d") ] );
+      ( Config.Drop,
+        [ ("records", "12a7206d983dc687965b2a2abf70d666");
+          ("summary", "a485553fee3384747e387ba8d9cf6ae6");
+          ("registry", "3e103ef992ad09f27505f15607b78d4c");
+          ("trace", "0dc48aee5633dafe86c9545942bfd2c5") ] );
+      ( Config.Ignore,
+        [ ("records", "5451e0422ad5caa91a06ced7101a2784");
+          ("summary", "bc02072fda185b6d0a54c2f94a0727a0");
+          ("registry", "14325d891ff45a779b1b06d4d26a81c1");
+          ("trace", "42431d7ef20edcca456aa0977dcae654") ] ) ]
+
 let suite =
-  [ Alcotest.test_case "request jsonl roundtrip" `Quick
+  [ Alcotest.test_case "golden replay digests" `Quick test_golden_replay;
+    Alcotest.test_case "request jsonl roundtrip" `Quick
       test_request_roundtrip;
     Alcotest.test_case "update jsonl + ingest validation" `Quick
       test_update_jsonl;
@@ -962,6 +1159,7 @@ let suite =
       test_tune_mode_request_plumbing;
     Alcotest.test_case "prep exec stable" `Quick test_prep_exec_stable;
     Alcotest.test_case "router stability" `Quick test_router_stability;
+    Alcotest.test_case "router pinned" `Quick test_router_pinned;
     Alcotest.test_case "fleet jobs-invariant" `Slow test_fleet_jobs_invariant;
     Alcotest.test_case "work stealing" `Quick test_work_stealing;
     Alcotest.test_case "tenant quota" `Quick test_tenant_quota;
@@ -971,5 +1169,7 @@ let suite =
       test_derived_aggregates;
     Alcotest.test_case "percentile resolution" `Quick
       test_percentile_resolution;
+    QCheck_alcotest.to_alcotest qcheck_summary_percentiles;
+    Alcotest.test_case "shard queue" `Quick test_shard_queue;
     Alcotest.test_case "config validate" `Quick test_config_validate;
     Alcotest.test_case "mix tenants" `Quick test_mix_tenants ]
