@@ -69,22 +69,25 @@ type measurement = {
 
 (* --- Host wall-clock protocol ---------------------------------------- *)
 
+(** [timed f] is [(seconds, f ())], read off the monotonic clock: the
+    one host clock of bench/, immune to wall-clock steps. *)
+let timed f =
+  let t0 = Monotonic_clock.now () in
+  let x = f () in
+  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9, x)
+
 (** [measure_wall ~warmup ~reps f] is the median wall-clock seconds of
     one [f ()] call: [warmup] untimed calls first (caches, branch
     predictors, allocator state), then [reps] timed calls, median
     reported so a stray scheduler hiccup cannot skew the figure. This is
-    the one measurement protocol every host-time figure in bench/ goes
-    through; simulated quantities (cycles, throughput, GFLOP/s) never
-    need it — they are deterministic. *)
+    the protocol for steady-state host figures in bench/; one-shot
+    figures (a whole replay, a whole grid) use [timed]; simulated
+    quantities (cycles, throughput, GFLOP/s) need neither — they are
+    deterministic. *)
 let measure_wall ?(warmup = 2) ?(reps = 9) (f : unit -> unit) : float =
   for _ = 1 to warmup do f () done;
   let reps = max 1 reps in
-  let times =
-    Array.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
+  let times = Array.init reps (fun _ -> fst (timed f)) in
   Array.sort compare times;
   times.(reps / 2)
 
@@ -247,7 +250,6 @@ let prewarm (cells : cell list) =
           let pre_st = Hashtbl.find_opt pack_cache name in
           (cs, pre_coo, pre_st))
         !order
-      |> List.rev
     in
     if tasks <> [] then begin
       let eng = !engine in
@@ -297,6 +299,13 @@ let spmm_entries () =
   if not !quick then all
   else
     List.filteri (fun i _ -> i mod 2 = 0) all
+
+(* The Fig. 6 grid: baseline and ASaP SpMV per matrix, optimized
+   prefetchers. *)
+let fig6_cells () =
+  List.concat_map
+    (fun e -> [ cell `Spmv e Base Optimized; cell `Spmv e A Optimized ])
+    (spmv_entries ())
 
 (* --- Formatting ----------------------------------------------------- *)
 

@@ -9,6 +9,8 @@
      dune exec bench/main.exe -- --engine interp # interpreter engine
      dune exec bench/main.exe -- --jobs 4 fig6   # parallel grid prewarm
                                                  # (clamped to host cores)
+     dune exec bench/main.exe -- check [suite...] [--baseline FILE]
+                                                 # gated suites (check.ml)
 
    All cells are deterministic, so --engine and --jobs never change a
    table: the engines are cycle-exact replicas of each other, and the
@@ -99,11 +101,6 @@ let fig9 () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 6: SpMV speedup vs L2 MPKI                                     *)
 (* ------------------------------------------------------------------ *)
-
-let fig6_cells () =
-  List.concat_map
-    (fun e -> [ cell `Spmv e Base Optimized; cell `Spmv e A Optimized ])
-    (spmv_entries ())
 
 let fig6 () =
   header "Fig. 6: SpMV speedup (ASaP vs baseline) versus baseline L2 MPKI";
@@ -518,10 +515,14 @@ let sections : (string * (unit -> unit)) list =
 let usage () =
   prerr_endline
     ("usage: main.exe [--quick] [--no-log] [--list] [--engine "
-     ^ Exec.valid_engines ^ "] [--jobs N] [--records FILE] [sections...]");
+     ^ Exec.valid_engines ^ "] [--jobs N] [--records FILE] [sections...]\n\
+     \       main.exe check [--baseline FILE] [suites...]");
   exit 1
 
 let () =
+  (match Array.to_list Sys.argv with
+   | _ :: "check" :: args -> exit (Check.main args)
+   | _ -> ());
   let rec parse acc = function
     | [] -> List.rev acc
     | "--quick" :: rest ->

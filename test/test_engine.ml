@@ -407,24 +407,42 @@ let test_grid_parallel_matches_sequential () =
         Harness.drop_matrix c.Harness.c_entry.Suite.name)
       cells
   in
+  (* [f ()] and the run records it wrote, which must come out in cell
+     order whichever domain measured them. *)
+  let recorded f =
+    let path = Filename.temp_file "grid" ".jsonl" in
+    let rr = Asap_obs.Run_record.open_path path in
+    Harness.records := Some rr;
+    let x = f () in
+    Harness.records := None;
+    Asap_obs.Run_record.close rr;
+    let text = In_channel.with_open_text path In_channel.input_all in
+    Sys.remove path;
+    (x, text)
+  in
   clear ();
-  let seq = List.map run_one cells in
+  let seq, seq_records = recorded (fun () -> List.map run_one cells) in
   clear ();
-  Harness.jobs := 4;
-  Harness.prewarm cells;
-  Harness.jobs := 1;
-  List.iter
-    (fun (c : Harness.cell) ->
-      check ("prewarmed " ^ Harness.cell_key c) true
-        (Hashtbl.mem Harness.run_cache (Harness.cell_key c)))
-    cells;
-  let par = List.map run_one cells in
+  let par, par_records =
+    recorded (fun () ->
+        Harness.jobs := 4;
+        Harness.prewarm cells;
+        Harness.jobs := 1;
+        List.iter
+          (fun (c : Harness.cell) ->
+            check ("prewarmed " ^ Harness.cell_key c) true
+              (Hashtbl.mem Harness.run_cache (Harness.cell_key c)))
+          cells;
+        List.map run_one cells)
+  in
   clear ();
   Harness.verbose := was_verbose;
   List.iter2
     (fun (a : Harness.measurement) (b : Harness.measurement) ->
       check ("grid " ^ a.Harness.m_name) true (a = b))
-    seq par
+    seq par;
+  check "records in cell order at any --jobs" true
+    (seq_records <> "" && seq_records = par_records)
 
 let suite =
   [ Alcotest.test_case "spmv differential" `Quick test_differential_spmv;

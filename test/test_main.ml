@@ -18,4 +18,5 @@ let () =
       ("pass", Test_pass.suite);
       ("golden", Test_golden.suite);
       ("specialize", Test_specialize.suite);
-      ("serve", Test_serve.suite) ]
+      ("serve", Test_serve.suite);
+      ("check", Test_check.suite) ]
