@@ -29,17 +29,10 @@ open Cmdliner
 (* --- Shared argument parsers ---------------------------------------- *)
 
 let format_conv =
-  let parse = function
-    | "coo" -> Ok (Encoding.coo ())
-    | "csr" -> Ok (Encoding.csr ())
-    | "csc" -> Ok (Encoding.csc ())
-    | "dcsr" -> Ok (Encoding.dcsr ())
-    | "bsr" -> Ok (Encoding.bsr ~bh:4 ~bw:4 ())
-    | s ->
-      (match Scanf.sscanf_opt s "bsr%dx%d%!" (fun bh bw -> (bh, bw)) with
-       | Some (bh, bw) when bh >= 1 && bw >= 1 ->
-         Ok (Encoding.bsr ~bh ~bw ())
-       | _ -> Error (`Msg (Printf.sprintf "unknown format %S" s)))
+  let parse s =
+    match Asap_serve.Request.matrix_encoding_of_format s with
+    | Some enc -> Ok enc
+    | None -> Error (`Msg (Printf.sprintf "unknown format %S" s))
   in
   Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt e.Encoding.name)
 
@@ -644,16 +637,14 @@ let serve_cmd =
           |> with_quota quota
           |> with_quotas (Option.value quotas ~default:[])
           |> with_deadline_policy deadline_policy
-          |> with_pipelines (Option.value pipelines ~default:[])
           |> with_jobs jobs)
       in
-      let config =
-        match mode with
-        | None -> config
-        | Some m -> Config.with_tune_mode m config
-      in
-      let config =
-        if specialize then Config.with_specialize true config else config
+      let reqs =
+        List.map
+          (Request.override ?tune_mode:mode
+             ?specialize:(if specialize then Some true else None)
+             ?pipelines)
+          reqs
       in
       let chrome = Option.map (fun _ -> Asap_obs.Chrome.create ()) trace in
       let rp = Scheduler.run ?trace:chrome ~updates config reqs in
@@ -760,16 +751,11 @@ let genreqs_cmd =
   in
   let run out n seed alpha gap deadline engine mode tenants updates
       update_gap specialize =
-    let profiles =
-      List.map
-        (fun p ->
-          { p with Mix.p_engine = engine; p_tune_mode = mode;
-            p_specialize = specialize })
-        (Mix.default_profiles ())
-    in
+    let profiles = Mix.default_profiles () in
     let reqs =
       Mix.hot_cold ~alpha ~mean_gap_ms:gap ?deadline_ms:deadline
         ?tenants ~seed ~n profiles
+      |> List.map (Request.override ~engine ~tune_mode:mode ~specialize)
     in
     let ups =
       if updates = 0 then []

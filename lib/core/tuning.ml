@@ -61,7 +61,10 @@ type decision = {
 }
 
 let default_candidates = [ 4; 8; 16; 32; 64 ]
-let default_profile_fraction = 0.05
+let profile_fraction = 0.05
+
+(* Baseline slices below this L2 MPKI roll prefetching back. *)
+let rollback_mpki = 2.0
 
 (* One sliced profiling run of SpMV under [variant]. The packed storage
    and the kernel are variant-independent, so the caller builds them once
@@ -84,12 +87,12 @@ let profile_run ?engine machine ~kernel ~st ~rows ~cols ~slice variant =
 let profile_cycles (d : decision) : int =
   List.fold_left (fun acc e -> acc + e.pe_cycles) 0 d.profile
 
-(** [tune ?engine ?jobs ?candidates ?mpki_threshold ?profile_fraction ?st
-    machine enc coo] profiles SpMV over [coo] on a leading slice of rows
+(** [tune ?engine ?jobs ?candidates ?st machine enc coo] profiles SpMV
+    over [coo] on a leading slice of rows ([profile_fraction] of them)
     and decides:
 
     - if the baseline slice shows less memory pressure than
-      [mpki_threshold] (default 2.0 L2 MPKI), prefetching is rolled back
+      [rollback_mpki] (2.0 L2 MPKI), prefetching is rolled back
       entirely (the RPG^2 idea) and {!Pipeline.Baseline} is chosen;
     - otherwise ASaP is chosen with the candidate distance that minimised
       profiled cycles (the APT-GET idea); ties break towards the smaller
@@ -102,8 +105,7 @@ let profile_cycles (d : decision) : int =
     [jobs > 1] farms them to a {!Par} domain pool; the decision is
     deterministic either way. The top storage level must support slicing
     (dense outer loop). *)
-let tune ?engine ?(jobs = 1) ?(candidates = default_candidates)
-    ?(mpki_threshold = 2.0) ?(profile_fraction = default_profile_fraction) ?st
+let tune ?engine ?(jobs = 1) ?(candidates = default_candidates) ?st
     (machine : Machine.t) (enc : Encoding.t) (coo : Coo.t) : decision =
   (match enc.Encoding.levels.(0) with
    | Encoding.Dense -> ()
@@ -126,7 +128,7 @@ let tune ?engine ?(jobs = 1) ?(candidates = default_candidates)
     { pe_label = "baseline"; pe_distance = None;
       pe_cycles = base.Exec.rp_cycles; pe_mpki = Exec.l2_mpki base }
   in
-  if Exec.l2_mpki base < mpki_threshold then
+  if Exec.l2_mpki base < rollback_mpki then
     { chosen = Pipeline.Baseline; profile = [ base_entry ];
       profile_rows = prof_rows }
   else begin

@@ -45,30 +45,28 @@ val default_candidates : int list
 (** Fraction of outer rows profiled per candidate (0.05). Exposed so the
     cost model's analytic slice estimate ({!Asap_model.Features}) mirrors
     exactly the slice the sweep measures. *)
-val default_profile_fraction : float
+val profile_fraction : float
 
 (** [profile_cycles d] is the summed simulated cycles of the decision's
     profile runs — the virtual cost a serve cache miss is charged for
     sweep-mode tuning. *)
 val profile_cycles : decision -> int
 
-(** [tune ?engine ?jobs ?candidates ?mpki_threshold ?profile_fraction ?st
-    machine enc coo] profiles and decides. The encoding's top level must
-    be dense (the profiling slice is a row range). [engine] selects the
-    simulator's execution engine; candidate profiling runs are independent
-    simulations, so [jobs > 1] farms them to a {!Par} domain pool — the
-    decision is deterministic either way, and independent of candidate
-    order (cycle ties break towards the smaller distance). [st], if
-    given, must be [Storage.pack enc coo]; callers that already packed
-    the matrix pass it so the variant-independent packing is not redone —
-    otherwise one shared packing is built and reused across all profile
-    runs.
+(** [tune ?engine ?jobs ?candidates ?st machine enc coo] profiles and
+    decides. The encoding's top level must be dense (the profiling
+    slice is a row range). [engine] selects the simulator's execution
+    engine; candidate profiling runs are independent simulations, so
+    [jobs > 1] farms them to a {!Par} domain pool — the decision is
+    deterministic either way, and independent of candidate order (cycle
+    ties break towards the smaller distance). [st], if given, must be
+    [Storage.pack enc coo]; callers that already packed the matrix pass
+    it so the variant-independent packing is not redone — otherwise one
+    shared packing is built and reused across all profile runs.
     @raise Invalid_argument on a compressed outer level or an empty
     candidate list. *)
 val tune :
   ?engine:Asap_sim.Exec.engine -> ?jobs:int ->
-  ?candidates:int list -> ?mpki_threshold:float -> ?profile_fraction:float ->
-  ?st:Asap_tensor.Storage.t ->
+  ?candidates:int list -> ?st:Asap_tensor.Storage.t ->
   Machine.t -> Encoding.t -> Coo.t -> decision
 
 (** [describe d] renders the decision for logs and examples. *)

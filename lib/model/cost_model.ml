@@ -54,10 +54,11 @@ type prediction = {
   p_reason : string;           (* one-line explanation, for logs *)
 }
 
-(** [predict ?coeffs machine f] maps features to a variant. Pure and
-    O(1): all the work happened in {!Features.extract}. *)
-let predict ?(coeffs = default) (_machine : Machine.t) (f : Features.t) :
-    prediction =
+(** [predict machine f] maps features to a variant under the [default]
+    coefficients. Pure and O(1): all the work happened in
+    {!Features.extract}. *)
+let predict (_machine : Machine.t) (f : Features.t) : prediction =
+  let coeffs = default in
   let mpki = f.Features.f_est_mpki in
   let speedup = coeffs.c_intercept +. (coeffs.c_slope *. mpki) in
   if mpki < coeffs.c_rollback_mpki then

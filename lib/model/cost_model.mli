@@ -28,9 +28,10 @@ type prediction = {
   p_reason : string;        (** one-line explanation, for logs *)
 }
 
-(** [predict ?coeffs machine f] maps features to a variant. Pure and
-    O(1): all the measurement happened in {!Features.extract}. *)
-val predict : ?coeffs:coeffs -> Machine.t -> Features.t -> prediction
+(** [predict machine f] maps features to a variant under the [default]
+    coefficients. Pure and O(1): all the measurement happened in
+    {!Features.extract}. *)
+val predict : Machine.t -> Features.t -> prediction
 
 (** [same_choice a b] — do two variants name the same code? Same
     constructor, and for ASaP the same distance (the only field tuning

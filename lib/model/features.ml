@@ -92,17 +92,16 @@ let est_mpki ~slice_nnz ~slice_rows ~slice_lines ~l2_bytes =
   end
 
 (** [extract ~machine enc coo] computes the feature vector. Rank-2 only
-    (the same restriction as the sweep it replaces); [profile_fraction]
-    must match the sweep's for the slice estimate to mirror it.
+    (the same restriction as the sweep it replaces); the slice estimate
+    covers the sweep's {!Tuning.profile_fraction} of the rows.
     @raise Invalid_argument on other ranks. *)
-let extract ?(profile_fraction = Tuning.default_profile_fraction)
-    ~(machine : Machine.t) (enc : Encoding.t) (coo : Coo.t) : t =
+let extract ~(machine : Machine.t) (enc : Encoding.t) (coo : Coo.t) : t =
   if Coo.rank coo <> 2 then
     invalid_arg "Features.extract: rank-2 tensors only";
   let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
   let nnz = Coo.nnz coo in
   let prof_rows =
-    max 1 (int_of_float (float_of_int rows *. profile_fraction))
+    max 1 (int_of_float (float_of_int rows *. Tuning.profile_fraction))
   in
   let counts = Array.make (max 1 rows) 0 in
   (* One gather line covers 8 f64 elements; the bitmap marks the lines

@@ -41,12 +41,11 @@ type t = {
 
 (** [extract ~machine enc coo] computes the feature vector for a rank-2
     tensor (the same restriction as the sweep it replaces); [coo] need
-    not be sorted or deduplicated. [profile_fraction] defaults to
-    {!Tuning.default_profile_fraction} so the slice estimate mirrors the
-    sweep's measurement exactly.
+    not be sorted or deduplicated. The slice estimate covers
+    {!Tuning.profile_fraction} of the rows, so it mirrors the sweep's
+    measurement exactly.
     @raise Invalid_argument on other ranks. *)
-val extract :
-  ?profile_fraction:float -> machine:Machine.t -> Encoding.t -> Coo.t -> t
+val extract : machine:Machine.t -> Encoding.t -> Coo.t -> t
 
 (** Scalar features as a name/value list (histogram elided), for logs
     and the fit tool. *)

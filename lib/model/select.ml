@@ -65,16 +65,12 @@ let profile_lookup (sweep : Tuning.decision) (variant : Pipeline.variant) :
     |> Option.map snd
   | Pipeline.Ainsworth_jones _ -> None
 
-let decide ?engine ?jobs ?coeffs ?candidates ?mpki_threshold
-    ?profile_fraction ?st ~(mode : Tuning.mode) (machine : Machine.t)
-    (enc : Encoding.t) (coo : Coo.t) : decision =
-  let sweep () =
-    Tuning.tune ?engine ?jobs ?candidates ?mpki_threshold ?profile_fraction
-      ?st machine enc coo
-  in
+let decide ?engine ?jobs ?candidates ?st ~(mode : Tuning.mode)
+    (machine : Machine.t) (enc : Encoding.t) (coo : Coo.t) : decision =
+  let sweep () = Tuning.tune ?engine ?jobs ?candidates ?st machine enc coo in
   let model () =
-    let f = Features.extract ?profile_fraction ~machine enc coo in
-    (f, Cost_model.predict ?coeffs machine f)
+    let f = Features.extract ~machine enc coo in
+    (f, Cost_model.predict machine f)
   in
   match mode with
   | `Sweep ->

@@ -31,15 +31,12 @@ type decision = {
 (** [decide ~mode machine enc coo] decides a variant. [`Hybrid] always
     serves the sweep's choice, so hybrid replays are byte-identical to
     sweep replays. Optional arguments are forwarded to {!Tuning.tune}
-    ([engine], [jobs], [candidates], [mpki_threshold],
-    [profile_fraction], [st]) and {!Cost_model.predict} ([coeffs]);
-    [st], if given, must be [Storage.pack enc coo].
+    ([engine], [jobs], [candidates], [st]); [st], if given, must be
+    [Storage.pack enc coo].
     @raise Invalid_argument as {!Tuning.tune} and {!Features.extract}
     do (compressed outer level, empty candidates, non-rank-2). *)
 val decide :
-  ?engine:Asap_sim.Exec.engine -> ?jobs:int ->
-  ?coeffs:Cost_model.coeffs -> ?candidates:int list ->
-  ?mpki_threshold:float -> ?profile_fraction:float ->
+  ?engine:Asap_sim.Exec.engine -> ?jobs:int -> ?candidates:int list ->
   ?st:Storage.t -> mode:Tuning.mode ->
   Machine.t -> Encoding.t -> Coo.t -> decision
 

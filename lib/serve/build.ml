@@ -47,10 +47,13 @@ type entry = {
 let run_ms (e : entry) = e.e_run_ms
 let result (e : entry) = e.e_result
 
-(** [miss_penalty_ms ~compile_ms e] is the virtual time a cache miss on
-    [e]'s fingerprint charges before service can start: the configured
-    sparsify+compile penalty plus the entry's tuning-decision cost. *)
-let miss_penalty_ms ~compile_ms (e : entry) = compile_ms +. e.e_tune_ms
+(* Virtual sparsify+compile time charged to every cache miss. *)
+let compile_ms = 0.05
+
+(** [miss_penalty_ms e] is the virtual time a cache miss on [e]'s
+    fingerprint charges before service can start: the sparsify+compile
+    penalty plus the entry's tuning-decision cost. *)
+let miss_penalty_ms (e : entry) = compile_ms +. e.e_tune_ms
 
 (* Profile-guided tuning needs a rank-2 matrix under an encoding with a
    dense top level (the profile slice is a row range); the model path

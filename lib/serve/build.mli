@@ -31,10 +31,10 @@ type entry = {
 val run_ms : entry -> float
 val result : entry -> Driver.result
 
-(** [miss_penalty_ms ~compile_ms e] is the virtual time a cache miss
-    charges before service: the compile penalty plus [e]'s
+(** [miss_penalty_ms e] is the virtual time a cache miss charges before
+    service: a 0.05 ms sparsify+compile penalty plus [e]'s
     tuning-decision cost. *)
-val miss_penalty_ms : compile_ms:float -> entry -> float
+val miss_penalty_ms : entry -> float
 
 (** [build ?st req coo] assembles the entry for [req]'s fingerprint:
     decide the variant (if asked; falls back to default ASaP when

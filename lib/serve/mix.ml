@@ -18,18 +18,14 @@ type profile = {
   p_format : string;
   p_matrix : string;
   p_variant : Request.variant;
-  p_engine : Exec.engine;
-  p_machine : string;
   p_tune_mode : Tuning.mode;
   p_specialize : bool;
 }
 
 let profile ?(kernel = `Spmv) ?(format = "csr") ?(variant = `Asap)
-    ?(engine = Exec.default_engine) ?(machine = "optimized")
     ?(tune_mode = Tuning.default_mode) ?(specialize = false) matrix =
   { p_kernel = kernel; p_format = format; p_matrix = matrix;
-    p_variant = variant; p_engine = engine; p_machine = machine;
-    p_tune_mode = tune_mode; p_specialize = specialize }
+    p_variant = variant; p_tune_mode = tune_mode; p_specialize = specialize }
 
 (* A small spread over the workload suite: hot head on the irregular
    matrices prefetching helps most, cold tail over formats, variants and
@@ -133,10 +129,14 @@ let hot_cold ?(alpha = 1.2) ?(mean_gap_ms = 0.05) ?deadline_ms
       let tenant = pick_tenant () in
       { Request.id = Printf.sprintf "r%05d" i;
         kernel = p.p_kernel; format = p.p_format; matrix = p.p_matrix;
-        variant = p.p_variant; engine = p.p_engine; machine = p.p_machine;
+        variant = p.p_variant; engine = Exec.default_engine;
+        machine = "optimized";
         tune_mode = p.p_tune_mode; pipeline = None; tenant; arrival_ms = !t;
         deadline = Option.map (fun ms -> Request.Ms ms) deadline_ms;
         specialize = p.p_specialize })
+
+(* Uniform in-bounds deltas per streaming update. *)
+let deltas_per_update = 4
 
 (* Streaming deltas against the rank-2 matrices of a profile list. The
    generator resolves each distinct spec once (deterministically) just
@@ -144,11 +144,9 @@ let hot_cold ?(alpha = 1.2) ?(mean_gap_ms = 0.05) ?deadline_ms
    (seed, n, profiles) triple always yields the same update stream, on
    a separate RNG stream from {!hot_cold} (seeds are xored with a tag)
    so adding updates never perturbs the request draw. *)
-let update_stream ?(mean_gap_ms = 1.0) ?(deltas_per_update = 4) ~seed ~n
-    (profiles : profile list) : Request.Update.t list =
+let update_stream ?(mean_gap_ms = 1.0) ~seed ~n (profiles : profile list) :
+    Request.Update.t list =
   if n < 0 then invalid_arg "Mix.update_stream: n < 0";
-  if deltas_per_update < 1 then
-    invalid_arg "Mix.update_stream: deltas_per_update < 1";
   let specs =
     List.filter_map
       (fun p -> if p.p_kernel = `Ttv then None else Some p.p_matrix)

@@ -2,7 +2,6 @@
     exponential inter-arrival gaps, fully determined by an explicit
     seed. *)
 
-module Exec = Asap_sim.Exec
 module Tuning = Asap_core.Tuning
 
 type profile = {
@@ -10,18 +9,15 @@ type profile = {
   p_format : string;
   p_matrix : string;          (** {!Asap_workloads.Generate.of_spec} *)
   p_variant : Request.variant;
-  p_engine : Exec.engine;
-  p_machine : string;
   p_tune_mode : Tuning.mode;
   p_specialize : bool;        (** request the AoT-specialized artefact *)
 }
 
-(** [profile matrix] with defaults: SpMV, csr, ASaP variant, default
-    engine, "optimized" machine, sweep tuning, no specialization. *)
+(** [profile matrix] with defaults: SpMV, csr, ASaP variant, sweep
+    tuning, no specialization. *)
 val profile :
   ?kernel:Request.kernel -> ?format:string -> ?variant:Request.variant ->
-  ?engine:Exec.engine -> ?machine:string -> ?tune_mode:Tuning.mode ->
-  ?specialize:bool -> string -> profile
+  ?tune_mode:Tuning.mode -> ?specialize:bool -> string -> profile
 
 (** A 10-profile spread over the workload suite, hot head first (Zipf
     weight falls with list position). *)
@@ -30,11 +26,12 @@ val default_profiles : unit -> profile list
 (** [hot_cold ~seed ~n profiles] draws [n] requests: profile [i] with
     Zipf weight [1/(i+1)^alpha] (default 1.2), arrivals spaced by
     exponential gaps of mean [mean_gap_ms] (default 0.05 virtual ms),
-    ids ["r%05d"]. [deadline_ms], if given, attaches that relative
-    budget to every request. [tenants] is a weighted
-    [(name, weight)] list each request's tenant is drawn from; with
-    fewer than two tenants no RNG draw is consumed, so legacy
-    (seed, n) traces stay byte-identical.
+    ids ["r%05d"], on the default engine and the "optimized" machine
+    (see {!Request.override} for other engines). [deadline_ms], if
+    given, attaches that relative budget to every request. [tenants] is
+    a weighted [(name, weight)] list each request's tenant is drawn
+    from; with fewer than two tenants no RNG draw is consumed, so
+    legacy (seed, n) traces stay byte-identical.
     @raise Invalid_argument on a non-positive tenant weight. *)
 val hot_cold :
   ?alpha:float -> ?mean_gap_ms:float -> ?deadline_ms:float ->
@@ -43,12 +40,12 @@ val hot_cold :
 
 (** [update_stream ~seed ~n profiles] draws [n] streaming updates
     against the rank-2 matrices of [profiles] (uniform spec choice,
-    exponential gaps of mean [mean_gap_ms], default 1 virtual ms;
-    [deltas_per_update] uniform in-bounds deltas each, default 4), ids
-    ["u%05d"]. Uses an RNG stream independent of {!hot_cold}'s, so
-    pairing a request mix with an update stream never perturbs the
-    requests. @raise Invalid_argument when no profile is rank-2 or on
-    a bad spec. *)
+    exponential gaps of mean [mean_gap_ms], default 1 virtual ms; four
+    uniform in-bounds deltas each), ids ["u%05d"]. Uses an RNG stream
+    independent of {!hot_cold}'s, so pairing a request mix with an
+    update stream never perturbs the requests.
+    @raise Invalid_argument when no profile is rank-2 or on a bad
+    spec. *)
 val update_stream :
-  ?mean_gap_ms:float -> ?deltas_per_update:int -> seed:int -> n:int ->
-  profile list -> Request.Update.t list
+  ?mean_gap_ms:float -> seed:int -> n:int -> profile list ->
+  Request.Update.t list

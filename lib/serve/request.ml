@@ -75,24 +75,26 @@ let variant_of_string = function
   | "tuned" -> Some `Tuned
   | _ -> None
 
-(* "bsr" is the 4x4 default; "bsr<bh>x<bw>" names the block shape
-   explicitly (e.g. "bsr2x8"). *)
-let bsr_of_format (format : string) : Encoding.t option =
-  if String.equal format "bsr" then Some (Encoding.bsr ~bh:4 ~bw:4 ())
-  else
-    match Scanf.sscanf_opt format "bsr%dx%d%!" (fun bh bw -> (bh, bw)) with
-    | Some (bh, bw) when bh >= 1 && bw >= 1 -> Some (Encoding.bsr ~bh ~bw ())
-    | _ -> None
+(* The matrix formats: coo, csr, csc, dcsr, and blocked rows — "bsr" is
+   the 4x4 default, "bsr<bh>x<bw>" names the block shape explicitly
+   (e.g. "bsr2x8"). *)
+let matrix_encoding_of_format (format : string) : Encoding.t option =
+  match format with
+  | "coo" -> Some (Encoding.coo ())
+  | "csr" -> Some (Encoding.csr ())
+  | "csc" -> Some (Encoding.csc ())
+  | "dcsr" -> Some (Encoding.dcsr ())
+  | "bsr" -> Some (Encoding.bsr ~bh:4 ~bw:4 ())
+  | f ->
+    (match Scanf.sscanf_opt f "bsr%dx%d%!" (fun bh bw -> (bh, bw)) with
+     | Some (bh, bw) when bh >= 1 && bw >= 1 -> Some (Encoding.bsr ~bh ~bw ())
+     | _ -> None)
 
 let encoding_of_format (k : kernel) (format : string) : Encoding.t option =
   match (k, format) with
-  | (`Spmv | `Spmm | `Sddmm), "coo" -> Some (Encoding.coo ())
-  | (`Spmv | `Spmm | `Sddmm), "csr" -> Some (Encoding.csr ())
-  | (`Spmv | `Spmm | `Sddmm), "csc" -> Some (Encoding.csc ())
-  | (`Spmv | `Spmm | `Sddmm), "dcsr" -> Some (Encoding.dcsr ())
-  | (`Spmv | `Spmm | `Sddmm), f when String.length f >= 3 -> bsr_of_format f
+  | (`Spmv | `Spmm | `Sddmm), f -> matrix_encoding_of_format f
   | `Ttv, "csf" -> Some (Encoding.csf 3)
-  | _ -> None
+  | `Ttv, _ -> None
 
 (** [spec r] is the {!Driver.kernel_spec} the request names.
     @raise Invalid_argument on a kernel/format mismatch. *)
@@ -146,8 +148,16 @@ let deadline_ms (r : t) (machine : Machine.t) : float option =
     fingerprints are servable by one cache entry — the tenant is
     scheduling metadata like id and arrival, so tenants share entries. *)
 let fingerprint (r : t) : string =
+  (* The format in canonical form too: "bsr" and "bsr4x4" are one
+     encoding. A format that does not fit the kernel keys as spelled;
+     building it fails either way. *)
+  let format =
+    match encoding_of_format r.kernel r.format with
+    | Some enc -> String.lowercase_ascii enc.Encoding.name
+    | None -> r.format
+  in
   let base =
-    [ kernel_to_string r.kernel; r.format; r.matrix; r.machine;
+    [ kernel_to_string r.kernel; format; r.matrix; r.machine;
       variant_to_string r.variant; Exec.engine_to_string r.engine ]
   in
   (* The tuning mode only shapes the artefact when there is a tuning
@@ -176,6 +186,19 @@ let fingerprint (r : t) : string =
     the untuned, prefetch-free baseline of the same kernel on the same
     matrix and machine. *)
 let fallback (r : t) : t = { r with variant = `Baseline; pipeline = None }
+
+(** [override ?engine ?tune_mode ?specialize ?pipelines r] is [r] with
+    each given field replaced; [pipelines] maps tenants to pass-pipeline
+    specs, and [r]'s tenant entry, if any, replaces its pipeline. *)
+let override ?engine ?tune_mode ?specialize ?(pipelines = []) (r : t) : t =
+  { r with
+    engine = Option.value engine ~default:r.engine;
+    tune_mode = Option.value tune_mode ~default:r.tune_mode;
+    specialize = Option.value specialize ~default:r.specialize;
+    pipeline =
+      (match List.assoc_opt r.tenant pipelines with
+       | None -> r.pipeline
+       | p -> p) }
 
 (* --- JSONL ----------------------------------------------------------- *)
 
@@ -337,9 +360,11 @@ let of_line (line : string) : (t, string) result =
   | Error e -> Error ("bad request JSON: " ^ e)
   | Ok j -> of_json j
 
-(** [load path] reads a JSONL request file; blank lines and [#]-comment
-    lines are skipped. Errors carry the 1-based line number. *)
-let load (path : string) : (t list, string) result =
+(* One JSONL reader: blank and [#]-comment lines are skipped, every
+   other line goes through [parse], and the first error carries the
+   1-based line number. *)
+let read_jsonl (parse : string -> ('a, string) result) (path : string) :
+    ('a list, string) result =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -351,11 +376,14 @@ let load (path : string) : (t list, string) result =
           let line = String.trim line in
           if line = "" || line.[0] = '#' then go (n + 1) acc rest
           else
-            (match of_line line with
-             | Ok r -> go (n + 1) (r :: acc) rest
+            (match parse line with
+             | Ok x -> go (n + 1) (x :: acc) rest
              | Error e -> Error (Printf.sprintf "%s:%d: %s" path n e))
       in
       go 1 [] lines)
+
+(** [load path] reads a JSONL request file. *)
+let load (path : string) : (t list, string) result = read_jsonl of_line path
 
 (* --- Streaming updates ------------------------------------------------ *)
 
@@ -508,25 +536,9 @@ let item_of_line (line : string) : (item, string) result =
      | _ -> Result.map (fun r -> Req r) (of_json j))
 
 (** [load_items path] reads a mixed JSONL stream: request lines plus
-    [{"kind": "update", ...}] lines; blank and [#] lines are skipped;
-    errors carry the 1-based line number. Items keep file order. *)
+    [{"kind": "update", ...}] lines, in file order. *)
 let load_items (path : string) : (item list, string) result =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = In_channel.input_lines ic in
-      let rec go n acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest ->
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then go (n + 1) acc rest
-          else
-            (match item_of_line line with
-             | Ok it -> go (n + 1) (it :: acc) rest
-             | Error e -> Error (Printf.sprintf "%s:%d: %s" path n e))
-      in
-      go 1 [] lines)
+  read_jsonl item_of_line path
 
 (** [split_items items] separates a mixed stream into its requests and
     updates, each in stream order. *)

@@ -52,9 +52,12 @@ val kernel_of_string : string -> kernel option
 val variant_to_string : variant -> string
 val variant_of_string : string -> variant option
 
+(** [matrix_encoding_of_format fmt] is the rank-2 encoding [fmt] names:
+    coo, csr, csc, dcsr, ["bsr"] (4x4 blocks) or ["bsr<bh>x<bw>"]. *)
+val matrix_encoding_of_format : string -> Encoding.t option
+
 (** [encoding_of_format k fmt] is the encoding named by [fmt] if it fits
-    kernel [k]. The matrix kernels additionally accept ["bsr"] (4x4
-    blocks) and ["bsr<bh>x<bw>"]. *)
+    kernel [k]: a matrix format for the matrix kernels, csf for ttv. *)
 val encoding_of_format : kernel -> string -> Encoding.t option
 
 (** [spec r] is the {!Driver.kernel_spec} the request names.
@@ -78,10 +81,11 @@ val deadline_ms : t -> Machine.t -> float option
 (** [fingerprint r] is the canonical cache key: every field affecting
     the built artefact and nothing that doesn't (id, tenant, arrival,
     deadline excluded; [tune_mode] included only for [`Tuned] requests,
-    which are the only ones whose artefact it shapes).  A pipeline
-    override enters in canonical form — spellings that resolve to the
-    same fully-parameterised pipeline share one cache entry, distinct
-    pipelines never collide.
+    which are the only ones whose artefact it shapes).  The format and
+    a pipeline override enter in canonical form — spellings that
+    resolve to the same encoding (["bsr"], ["bsr4x4"]) or the same
+    fully-parameterised pipeline share one cache entry, distinct ones
+    never collide.
     @raise Invalid_argument if [pipeline] holds an invalid spec (JSONL
     ingest rejects those up front; only hand-built requests can). *)
 val fingerprint : t -> string
@@ -90,6 +94,15 @@ val fingerprint : t -> string
     the untuned, prefetch-free baseline (any pipeline override is
     dropped with the rest of the machinery it named). *)
 val fallback : t -> t
+
+(** [override ?engine ?tune_mode ?specialize ?pipelines r] is [r] with
+    each given field replaced; [pipelines] maps tenants to pass-pipeline
+    specs, and [r]'s tenant entry, if any, replaces its pipeline. With
+    no arguments it is the identity. Overridden fields enter the
+    fingerprint as if [r] had carried them. *)
+val override :
+  ?engine:Exec.engine -> ?tune_mode:Tuning.mode -> ?specialize:bool ->
+  ?pipelines:(string * string) list -> t -> t
 
 val to_json : t -> Jsonu.t
 

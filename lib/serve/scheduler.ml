@@ -50,6 +50,7 @@
    admits exactly the arrivals at or before its t0). *)
 
 module Coo = Asap_tensor.Coo
+module Encoding = Asap_tensor.Encoding
 module Storage = Asap_tensor.Storage
 module Driver = Asap_core.Driver
 module Par = Asap_core.Par
@@ -116,37 +117,6 @@ let us_of_ms ms = int_of_float (Float.round (ms *. 1000.))
 let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
     (config : Config.t) (requests : Request.t list) : replayed =
   Config.validate config;
-  (* Config-level overrides rewrite the requests up front (they change
-     fingerprints, so they must precede routing and building). *)
-  let requests =
-    match
-      ( config.Config.engine, config.Config.tune_mode,
-        config.Config.specialize, config.Config.pipelines )
-    with
-    | None, None, None, [] -> requests
-    | engine, tune_mode, specialize, _ ->
-      List.map
-        (fun r ->
-          let r =
-            match engine with
-            | Some e -> { r with Request.engine = e }
-            | None -> r
-          in
-          let r =
-            match tune_mode with
-            | Some m -> { r with Request.tune_mode = m }
-            | None -> r
-          in
-          let r =
-            match specialize with
-            | Some s -> { r with Request.specialize = s }
-            | None -> r
-          in
-          match Config.pipeline_of config r.Request.tenant with
-          | Some p -> { r with Request.pipeline = Some p }
-          | None -> r)
-        requests
-  in
   let reqs = Array.of_list requests in
   let n = Array.length reqs in
   (* --- Streaming updates: versions --------------------------------- *)
@@ -190,7 +160,7 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
   let vkey key v = if v = 0 then key else Printf.sprintf "%s|v%d" key v in
   let caching = config.Config.cache_capacity > 0 in
   let nshards = config.Config.shards in
-  let router = Router.create ~vnodes:config.Config.vnodes ~shards:nshards () in
+  let router = Router.create ~shards:nshards () in
   let jobs = config.Config.jobs in
   let has_deadline = Array.map (fun r -> r.Request.deadline <> None) reqs in
 
@@ -284,11 +254,10 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
          across variants, engines or tuning modes. Each distinct triple
          packs once here (sorted keys, index-slotted Par.map — jobs-
          invariant) and every build consumes the shared storage. The
-         format enters the key in canonical form so spellings that
-         resolve to the same encoding (["bsr"] vs ["bsr4x4"]) share one
-         pack. Only with the cache: the uncached baseline pays every
-         pack, like it pays every build. *)
-      let pack_norm fmt = if String.equal fmt "bsr" then "bsr4x4" else fmt in
+         encoding's name keys the format, so spellings that resolve to
+         the same encoding (["bsr"] vs ["bsr4x4"]) share one pack. Only
+         with the cache: the uncached baseline pays every pack, like it
+         pays every build. *)
       let id_pack =
         Array.init nids (fun id ->
             let req = id_req.(id) and v = id_ver.(id) in
@@ -297,7 +266,7 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
             with
             | Some enc when req.Request.kernel <> `Ttv ->
               if Coo.rank (coo_of req v) = 2 then
-                Some (req.Request.matrix, v, pack_norm req.Request.format, enc)
+                Some (req.Request.matrix, v, enc.Encoding.name, enc)
               else None
             | _ -> None)
       in
@@ -618,7 +587,7 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
       if not hit then ignore (Lru.add sh.Shard.lru key entry);
       let penalty =
         if hit then 0.
-        else Build.miss_penalty_ms ~compile_ms:config.Config.compile_ms entry
+        else Build.miss_penalty_ms entry
       in
       let run_ms = entry.Build.e_run_ms in
       let fp = id_fp.(key) in

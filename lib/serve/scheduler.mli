@@ -63,9 +63,10 @@ type replayed = {
         by the build pass's shared-storage pre-pass) *)
 }
 
-(** [run ?trace ?updates config requests] replays the fleet:
-    engine/tune-mode overrides from [config] are applied to every
-    request first, each distinct fingerprint builds once
+(** [run ?trace ?updates config requests] replays the fleet over
+    exactly the given requests (bulk per-request settings are applied
+    beforehand with {!Request.override}): each distinct fingerprint
+    builds once
     (host-parallel, per-shard {!Asap_core.Par.lease} slices), then the
     sequential virtual-time loop routes, admits (quota, then queue
     limit), batches, steals and serves. [trace], if given, receives

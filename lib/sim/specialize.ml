@@ -39,16 +39,14 @@ open Asap_ir
 type facts = {
   f_scalars : int list;    (* values for the Pscalar params, in order *)
   f_distance : int option; (* tuned prefetch distance; [Some 0] strips *)
-  f_unroll_cap : int;      (* max constant trip count to fully unroll *)
 }
 
-(* BSR blocks are at most a cache line (8 f64) per side in practice and
+(* Max constant trip count to fully unroll. BSR blocks are at most a cache line (8 f64) per side in practice and
    the dense SpMM/SDDMM inner extents the suite uses are 8–16; 32 covers
    them all while keeping worst-case code growth bounded. *)
-let default_unroll_cap = 32
+let unroll_cap = 32
 
-let make ?distance ?(unroll_cap = default_unroll_cap) ~scalars () =
-  { f_scalars = scalars; f_distance = distance; f_unroll_cap = unroll_cap }
+let make ?distance ~scalars () = { f_scalars = scalars; f_distance = distance }
 
 type stats = {
   sp_params : int;             (* scalar params materialised *)
@@ -496,7 +494,7 @@ let apply (facts : facts) (fn : Ir.func) : Ir.func * stats =
      BSR micro-loop bounds dynamic). *)
   let body, n_clamps = eliminate_block_clamps fn1.Ir.fn_body in
   let body, n_unrolled, n_iters =
-    unroll_const_loops a facts.f_unroll_cap body
+    unroll_const_loops a unroll_cap body
   in
   (* 4. Fold again: induction constants feed address arithmetic. *)
   let fn2, fs2 = Fold.run (mk body) in

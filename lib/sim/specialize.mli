@@ -19,14 +19,11 @@ open Asap_ir
 type facts = {
   f_scalars : int list;     (** values for the [Pscalar] params, in order *)
   f_distance : int option;  (** tuned prefetch distance; [Some 0] strips *)
-  f_unroll_cap : int;       (** max constant trip count to fully unroll *)
 }
 
-(** Default full-unroll trip-count cap (32). *)
-val default_unroll_cap : int
-
-(** [make ?distance ?unroll_cap ~scalars ()] bundles the facts. *)
-val make : ?distance:int -> ?unroll_cap:int -> scalars:int list -> unit -> facts
+(** [make ?distance ~scalars ()] bundles the facts. Loops of constant
+    trip count up to 32 are fully unrolled. *)
+val make : ?distance:int -> scalars:int list -> unit -> facts
 
 type stats = {
   sp_params : int;             (** scalar params materialised *)

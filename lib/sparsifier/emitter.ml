@@ -42,7 +42,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let compile ?(hook : Access.hook option) ?fn_name (k : Kernel.t) : compiled =
+let compile ?(hook : Access.hook option) (k : Kernel.t) : compiled =
   let g = Iteration_graph.build k in
   let enc = k.Kernel.k_encoding in
   let r = Encoding.rank enc in
@@ -609,9 +609,10 @@ let compile ?(hook : Access.hook option) ?fn_name (k : Kernel.t) : compiled =
    | None ->
      let (_ : Ir.value option) = emit_level 0 `Zero None in
      ());
-  let default_name = Printf.sprintf "%s_%s" k.Kernel.k_name
-      (String.lowercase_ascii enc.Encoding.name)
+  let fn =
+    Builder.finish b
+      (Printf.sprintf "%s_%s" k.Kernel.k_name
+         (String.lowercase_ascii enc.Encoding.name))
   in
-  let fn = Builder.finish b (Option.value fn_name ~default:default_name) in
   { fn; kernel = k; buffers = List.rev !bindings; scalars;
     n_sites = !n_sites }

@@ -34,6 +34,7 @@ type compiled = {
     non-unique compressed below the top level). *)
 exception Unsupported of string
 
-(** [compile ?hook ?fn_name k] lowers [k]. Prefer {!Sparsify.run}, which
-    also verifies the result. *)
-val compile : ?hook:Access.hook -> ?fn_name:string -> Kernel.t -> compiled
+(** [compile ?hook k] lowers [k] to a function named
+    [<kernel>_<format>]. Prefer {!Sparsify.run}, which also verifies
+    the result. *)
+val compile : ?hook:Access.hook -> Kernel.t -> compiled

@@ -9,10 +9,10 @@ open Asap_ir
 
 type t = Emitter.compiled
 
-(** [run ?hook ?fn_name k] sparsifies kernel [k]; [hook] is the prefetch
+(** [run ?hook k] sparsifies kernel [k]; [hook] is the prefetch
     injection point (see {!Access.hook}). *)
-let run ?hook ?fn_name (k : Kernel.t) : t =
-  let compiled = Emitter.compile ?hook ?fn_name k in
+let run ?hook (k : Kernel.t) : t =
+  let compiled = Emitter.compile ?hook k in
   (match Verify.check_result compiled.Emitter.fn with
    | Ok () -> ()
    | Error m ->

@@ -7,12 +7,12 @@ module Kernel = Asap_lang.Kernel
 
 type t = Emitter.compiled
 
-(** [run ?hook ?fn_name k] sparsifies kernel [k]; [hook] is the prefetch
+(** [run ?hook k] sparsifies kernel [k]; [hook] is the prefetch
     injection point (see {!Access.hook}).
     @raise Emitter.Unsupported on level chains outside the supported
     dialect subset.
     @raise Invalid_argument if generated IR fails verification (a bug). *)
-val run : ?hook:Access.hook -> ?fn_name:string -> Kernel.t -> t
+val run : ?hook:Access.hook -> Kernel.t -> t
 
 (** [listing c] is the MLIR-flavoured text of the generated function. *)
 val listing : t -> string

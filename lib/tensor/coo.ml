@@ -166,10 +166,11 @@ type stats = {
   s_row_min : int;
   s_row_max : int;
   s_row_mean : float;
-  s_footprint_bytes : int;     (* CSR with given index width + f64 values *)
+  s_footprint_bytes : int;     (* CSR with 4-byte indices + f64 values *)
 }
 
-let matrix_stats ?(index_bytes = 4) t =
+let matrix_stats t =
+  let index_bytes = 4 in
   if rank t <> 2 then invalid_arg "Coo.matrix_stats: not a matrix";
   let rows = t.dims.(0) and cols = t.dims.(1) in
   let per_row = Array.make rows 0 in

@@ -46,9 +46,9 @@ type stats = {
   s_row_min : int;            (** fewest entries in any row *)
   s_row_max : int;            (** most entries in any row *)
   s_row_mean : float;
-  s_footprint_bytes : int;    (** CSR bytes at the given index width *)
+  s_footprint_bytes : int;    (** CSR bytes with 4-byte indices *)
 }
 
-(** [matrix_stats ?index_bytes t] computes {!stats} for a rank-2 tensor.
+(** [matrix_stats t] computes {!stats} for a rank-2 tensor.
     @raise Invalid_argument if [t] is not a matrix. *)
-val matrix_stats : ?index_bytes:int -> t -> stats
+val matrix_stats : t -> stats

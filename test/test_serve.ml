@@ -87,7 +87,12 @@ let test_request_fingerprint () =
     [ { a with Request.format = "csc" };
       { a with Request.matrix = "powerlaw:401,5" };
       { a with Request.variant = `Baseline };
-      { a with Request.machine = "default" } ];
+      { a with Request.machine = "default" };
+      { a with Request.format = "bsr2x8" } ];
+  (* "bsr" is the 4x4 default: one encoding, one key. *)
+  check "bsr spellings share the key" true
+    (Request.fingerprint { a with Request.format = "bsr" }
+     = Request.fingerprint { a with Request.format = "bsr4x4" });
   let fb = Request.fallback a in
   check "fallback is baseline" true (fb.Request.variant = `Baseline);
   check "fallback keeps identity" true (fb.Request.id = a.Request.id)
@@ -142,13 +147,36 @@ let test_request_pipeline () =
    | Ok _ -> Alcotest.fail "ingested unknown pass"
    | Error e ->
      check "ingest error names the pass" true
-       (Astring_contains.contains e "nope"));
-  (* And in Config.validate for tenant overrides. *)
-  try
-    Config.validate Config.(with_pipelines [ ("acme", "nope" ) ] default);
-    Alcotest.fail "accepted bad tenant pipeline"
-  with Invalid_argument m ->
-    check "config error names tenant" true (Astring_contains.contains m "acme")
+       (Astring_contains.contains e "nope"))
+
+let test_request_override () =
+  let a = req ~variant:`Tuned () in
+  check "no arguments: identity" true (Request.override a = a);
+  (* The overridden fields key the artefact exactly as if the request
+     had carried them. *)
+  let same_key name o field =
+    check name true (Request.fingerprint o = Request.fingerprint field);
+    check (name ^ " changes the key") true
+      (Request.fingerprint o <> Request.fingerprint a)
+  in
+  same_key "specialize"
+    (Request.override ~specialize:true a)
+    { a with Request.specialize = true };
+  same_key "tune_mode"
+    (Request.override ~tune_mode:`Model a)
+    { a with Request.tune_mode = `Model };
+  (* Fixed variants make no tuning decision, so the mode stays out. *)
+  let b = req () in
+  check "tune_mode outside a fixed variant's key" true
+    (Request.fingerprint (Request.override ~tune_mode:`Model b)
+     = Request.fingerprint b);
+  (* Pipelines apply per tenant. *)
+  let pipelines = [ ("acme", "sparsify,asap{d=16}") ] in
+  check "tenant's pipeline applied" true
+    ((Request.override ~pipelines (req ~tenant:"acme" ())).Request.pipeline
+     = Some "sparsify,asap{d=16}");
+  check "other tenants untouched" true
+    (Request.override ~pipelines b = b)
 
 let test_replay_tenant_pipelines () =
   (* Per-tenant pipeline overrides: replay stays byte-equal at any host
@@ -158,11 +186,15 @@ let test_replay_tenant_pipelines () =
       ~tenants:[ ("a", 1.); ("b", 1.) ]
       (small_profiles ())
   in
-  let cfg =
-    Config.(
-      default |> with_pipelines [ ("a", "sparsify,asap{d=16},unroll{f=2}") ])
+  let overridden =
+    List.map
+      (Request.override
+         ~pipelines:[ ("a", "sparsify,asap{d=16},unroll{f=2}") ])
+      reqs
   in
-  let run jobs = lines (Scheduler.run Config.(with_jobs jobs cfg) reqs) in
+  let run jobs =
+    lines (Scheduler.run Config.(with_jobs jobs default) overridden)
+  in
   let l1 = run 1 in
   Alcotest.(check (list string)) "pipelines: jobs 1 = jobs 4 (byte)" l1 (run 4);
   check "override changes the records" true
@@ -865,7 +897,6 @@ let test_config_validate () =
       Config.(with_servers 0 default);
       Config.(with_queue_limit 0 default);
       Config.(with_cache_capacity (-1) default);
-      Config.(with_vnodes 0 default);
       Config.(with_jobs 0 default);
       Config.(with_quota (Some (-1)) default);
       Config.(with_quotas [ ("a", -2) ] default) ];
@@ -1136,6 +1167,7 @@ let suite =
     Alcotest.test_case "request fingerprint" `Quick test_request_fingerprint;
     Alcotest.test_case "request errors" `Quick test_request_errors;
     Alcotest.test_case "request pipeline" `Quick test_request_pipeline;
+    Alcotest.test_case "request override" `Quick test_request_override;
     Alcotest.test_case "replay tenant pipelines" `Slow
       test_replay_tenant_pipelines;
     Alcotest.test_case "lru" `Quick test_lru;
