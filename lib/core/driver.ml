@@ -6,7 +6,6 @@ module Coo = Asap_tensor.Coo
 module Storage = Asap_tensor.Storage
 module Encoding = Asap_tensor.Encoding
 module Kernel = Asap_lang.Kernel
-module Emitter = Asap_sparsifier.Emitter
 module Runtime = Asap_sim.Runtime
 module Machine = Asap_sim.Machine
 module Exec = Asap_sim.Exec
@@ -79,176 +78,164 @@ let dense_b n =
   done;
   b
 
-let run_compiled ?spec ~engine ~obs (c : Pipeline.compiled) ~machine ~threads
-    ~outer_extent ~bufs ~scalars =
-  if threads <= 1 then
-    Exec.run_prepared ~obs
-      (Exec.prepare ~engine ?spec machine c.Pipeline.fn ~bufs)
-      ~scalars
-  else begin
-    (match c.Pipeline.cc.Emitter.kernel.Kernel.k_encoding.Encoding.levels.(0)
-     with
-     | Encoding.Dense -> ()
-     | Encoding.Compressed _ | Encoding.Singleton ->
-       invalid_arg
-         "Driver: dense-outer-loop parallelisation needs a dense top level");
-    (* The parallel path specializes the IR only — the per-fiber engines
-       compile it generically, which is value- and report-identical. *)
-    let fn =
-      match spec with
-      | None -> c.Pipeline.fn
-      | Some facts -> fst (Specialize.apply facts c.Pipeline.fn)
-    in
-    Exec.run_parallel ~engine ~obs machine ~threads ~outer_extent fn ~bufs
-      ~scalars
-  end
-
-(* The kernel-specific assembly shared by {!run} and {!Prep}: sparsify +
-   prefetch-inject, pack storage, allocate outputs, bind buffers, compute
-   scalar arguments. Everything here is run-independent — {!Prep} does it
-   once and re-executes many times. *)
-type assembled = {
-  a_nnz : int;
-  a_compiled : Pipeline.compiled;
-  a_bufs : (Asap_ir.Ir.buffer * Runtime.rbuf) list;
-  a_scalars : int list;
-  a_threads : int;
-  a_outer_extent : int;
-  a_out_f : float array option;
-  a_out_b : Bytes.t option;
+(* One row per kernel family: everything {!Prep.make} needs beyond the
+   configuration — the kernel, its iteration-space extents, its dense
+   inputs and output (name, length), whether it runs the i8 and/or body,
+   and how many dense-outer-loop slices it runs on. *)
+type row = {
+  r_kernel : Kernel.t;
+  r_extents : int array;
+  r_inputs : (string * int) list;
+  r_output : string * int;
+  r_binary : bool;
+  r_threads : int;
 }
 
-let assemble_spmv (cfg : Cfg.t) (enc : Encoding.t) (coo : Coo.t) : assembled =
-  let binary = cfg.Cfg.binary in
-  let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
+(* SDDMM samples a dense product: O(i,j) = S(i,j) * sum_k A(i,k)*B(k,j);
+   [cfg.n] is its contraction depth kk (default 8, as for SpMM's dense
+   columns). SDDMM and TTV only have numeric bodies — the binary flag is
+   ignored — and TTV has no parallel path: the paper only evaluates it
+   single-threaded, so its row pins threads to 1. *)
+let row (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : row =
+  let d = coo.Coo.dims and binary = cfg.Cfg.binary in
   let body = if binary then Kernel.And_or else Kernel.Mul_add in
-  let kernel = Kernel.spmv ~enc ~body () in
-  let compiled =
-    Pipeline.compile ?pipeline:cfg.Cfg.pipeline kernel cfg.Cfg.variant
+  let n default = Option.value cfg.Cfg.n ~default in
+  let mk ?(binary = binary) ?(threads = cfg.Cfg.threads) kernel extents
+      inputs output =
+    { r_kernel = kernel; r_extents = extents; r_inputs = inputs;
+      r_output = output; r_binary = binary; r_threads = threads }
   in
-  let st =
-    match cfg.Cfg.st with Some st -> st | None -> Storage.pack enc coo
-  in
-  let out_f = if binary then None else Some (Array.make rows 0.) in
-  let out_b = if binary then Some (Bytes.make rows '\000') else None in
-  let dense =
-    if binary then
-      [ ("c", Runtime.RB (dense_b cols));
-        ("a", Runtime.RB (Option.get out_b)) ]
-    else
-      [ ("c", Runtime.RF (dense_f cols));
-        ("a", Runtime.RF (Option.get out_f)) ]
-  in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary ~dense in
-  let scalars =
-    Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |]
-  in
-  { a_nnz = Coo.nnz coo; a_compiled = compiled; a_bufs = bufs;
-    a_scalars = scalars; a_threads = cfg.Cfg.threads; a_outer_extent = rows;
-    a_out_f = out_f; a_out_b = out_b }
+  match spec with
+  | Spmv enc ->
+    mk (Kernel.spmv ~enc ~body ()) [| d.(0); d.(1) |] [ ("c", d.(1)) ]
+      ("a", d.(0))
+  | Spmm enc ->
+    let n = n (if binary then 64 else 8) in
+    mk (Kernel.spmm ~enc ~body ()) [| d.(0); d.(1); n |]
+      [ ("C", d.(1) * n) ] ("A", d.(0) * n)
+  | Sddmm enc ->
+    let kk = n 8 in
+    mk ~binary:false (Kernel.sddmm ~enc ()) [| d.(0); d.(1); kk |]
+      [ ("A", d.(0) * kk); ("C", kk * d.(1)) ] ("O", d.(0) * d.(1))
+  | Ttv enc ->
+    mk ~binary:false ~threads:1 (Kernel.ttv ?enc ()) [| d.(0); d.(1); d.(2) |]
+      [ ("c", d.(2)) ] ("a", d.(0) * d.(1))
 
-let assemble_spmm (cfg : Cfg.t) (enc : Encoding.t) (coo : Coo.t) : assembled =
-  let binary = cfg.Cfg.binary in
-  let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-  let n =
-    match cfg.Cfg.n with Some n -> n | None -> if binary then 64 else 8
-  in
-  let body = if binary then Kernel.And_or else Kernel.Mul_add in
-  let kernel = Kernel.spmm ~enc ~body () in
-  let compiled =
-    Pipeline.compile ?pipeline:cfg.Cfg.pipeline kernel cfg.Cfg.variant
-  in
-  let st =
-    match cfg.Cfg.st with Some st -> st | None -> Storage.pack enc coo
-  in
-  let out_f = if binary then None else Some (Array.make (rows * n) 0.) in
-  let out_b = if binary then Some (Bytes.make (rows * n) '\000') else None in
-  let dense =
-    if binary then
-      [ ("C", Runtime.RB (dense_b (cols * n)));
-        ("A", Runtime.RB (Option.get out_b)) ]
-    else
-      [ ("C", Runtime.RF (dense_f (cols * n)));
-        ("A", Runtime.RF (Option.get out_f)) ]
-  in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary ~dense in
-  let scalars =
-    Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols; n |]
-  in
-  { a_nnz = Coo.nnz coo; a_compiled = compiled; a_bufs = bufs;
-    a_scalars = scalars; a_threads = cfg.Cfg.threads; a_outer_extent = rows;
-    a_out_f = out_f; a_out_b = out_b }
+(** A prepared kernel execution: sparsification, prefetch injection,
+    specialization, storage packing, buffer layout and (bytecode engine)
+    program assembly all done once by {!Prep.make}; {!Prep.exec} then
+    re-runs the kernel on a fresh memory hierarchy per call. This is the
+    only execution path — {!run} is one [make] plus one [exec]. *)
+module Prep = struct
+  type t = {
+    p_obs : Asap_obs.Sink.t;
+    p_prepared : Exec.prepared;
+    p_scalars : int list;
+    p_threads : int;
+    p_outer_extent : int;
+    p_nnz : int;
+    p_out_f : float array option;
+    p_out_b : Bytes.t option;
+  }
 
-(* SDDMM samples a dense product: O(i,j) = S(i,j) * sum_k A(i,k)*B(k,j).
-   [cfg.n] is the contraction depth kk (default 8, as for SpMM's dense
-   columns). Only the numeric body is assembled — the binary flag is
-   ignored, as for TTV. *)
-let assemble_sddmm (cfg : Cfg.t) (enc : Encoding.t) (coo : Coo.t) :
-    assembled =
-  let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-  let kk = match cfg.Cfg.n with Some n -> n | None -> 8 in
-  let kernel = Kernel.sddmm ~enc () in
-  let compiled =
-    Pipeline.compile ?pipeline:cfg.Cfg.pipeline kernel cfg.Cfg.variant
-  in
-  let st =
-    match cfg.Cfg.st with Some st -> st | None -> Storage.pack enc coo
-  in
-  let out = Array.make (rows * cols) 0. in
-  let dense =
-    [ ("A", Runtime.RF (dense_f (rows * kk)));
-      ("C", Runtime.RF (dense_f (kk * cols)));
-      ("O", Runtime.RF out) ]
-  in
-  let bufs =
-    Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense
-  in
-  let scalars =
-    Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols; kk |]
-  in
-  { a_nnz = Coo.nnz coo; a_compiled = compiled; a_bufs = bufs;
-    a_scalars = scalars; a_threads = cfg.Cfg.threads; a_outer_extent = rows;
-    a_out_f = Some out; a_out_b = None }
+  let make (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : t =
+    let r = row cfg spec coo in
+    let enc = r.r_kernel.Kernel.k_encoding in
+    if r.r_threads > 1 && enc.Encoding.levels.(0) <> Encoding.Dense then
+      invalid_arg
+        "Driver: dense-outer-loop parallelisation needs a dense top level";
+    let compiled =
+      Pipeline.compile ?pipeline:cfg.Cfg.pipeline r.r_kernel cfg.Cfg.variant
+    in
+    let cc = compiled.Pipeline.cc in
+    let st =
+      match cfg.Cfg.st with Some st -> st | None -> Storage.pack enc coo
+    in
+    let out_name, out_len = r.r_output in
+    let out_f, out_b, out =
+      if r.r_binary then
+        let o = Bytes.make out_len '\000' in
+        (None, Some o, Runtime.RB o)
+      else
+        let o = Array.make out_len 0. in
+        (Some o, None, Runtime.RF o)
+    in
+    let input (name, len) =
+      (name, if r.r_binary then Runtime.RB (dense_b len)
+             else Runtime.RF (dense_f len))
+    in
+    let dense = List.map input r.r_inputs @ [ (out_name, out) ] in
+    let bufs = Bindings.storage_bufs cc st ~binary:r.r_binary ~dense in
+    let scalars = Bindings.scalar_args cc ~extents:r.r_extents in
+    (* The specialization facts: the resolved scalar arguments (extents,
+       inner extents, block shapes) and the variant's prefetch distance. *)
+    let spec =
+      if not cfg.Cfg.specialize then None
+      else
+        Some
+          (Specialize.make ?distance:(variant_distance cfg.Cfg.variant)
+             ~scalars ())
+    in
+    { p_obs = cfg.Cfg.obs;
+      p_prepared =
+        Exec.prepare ~engine:cfg.Cfg.engine ?spec cfg.Cfg.machine
+          compiled.Pipeline.fn ~bufs;
+      p_scalars = scalars; p_threads = r.r_threads;
+      p_outer_extent = coo.Coo.dims.(0); p_nnz = Coo.nnz coo;
+      p_out_f = out_f; p_out_b = out_b }
 
-(* The specialization facts of an assembled kernel: its resolved scalar
-   arguments (extents, inner extents, block shapes) and the variant's
-   prefetch distance. [None] unless the configuration opts in. *)
-let spec_facts (cfg : Cfg.t) (a : assembled) : Specialize.facts option =
-  if not cfg.Cfg.specialize then None
-  else
-    Some
-      (Specialize.make
-         ?distance:(variant_distance cfg.Cfg.variant)
-         ~scalars:a.a_scalars ())
+  (** [exec ?obs p] re-runs the prepared kernel; [obs] overrides the
+      configuration's sink for this run only. The result's [out_f]/[out_b]
+      alias [p]'s output buffers (zeroed before each run — the kernels
+      accumulate into their outputs), so a result is only valid until the
+      next [exec] on the same [p]. *)
+  let exec ?obs (p : t) : result =
+    let obs = Option.value obs ~default:p.p_obs in
+    Option.iter (fun o -> Array.fill o 0 (Array.length o) 0.) p.p_out_f;
+    Option.iter (fun o -> Bytes.fill o 0 (Bytes.length o) '\000') p.p_out_b;
+    let report =
+      if p.p_threads <= 1 then
+        Exec.run_prepared ~obs p.p_prepared ~scalars:p.p_scalars
+      else
+        Exec.run_parallel ~obs p.p_prepared ~threads:p.p_threads
+          ~outer_extent:p.p_outer_extent ~scalars:p.p_scalars
+    in
+    mk_result report p.p_nnz p.p_out_f p.p_out_b
+end
 
-let run_assembled (cfg : Cfg.t) (a : assembled) : result =
-  let report =
-    run_compiled ?spec:(spec_facts cfg a) ~engine:cfg.Cfg.engine
-      ~obs:cfg.Cfg.obs a.a_compiled ~machine:cfg.Cfg.machine
-      ~threads:a.a_threads ~outer_extent:a.a_outer_extent ~bufs:a.a_bufs
-      ~scalars:a.a_scalars
-  in
-  mk_result report a.a_nnz a.a_out_f a.a_out_b
+(** [run cfg spec coo] is the entry point: execute the kernel named by
+    [spec] on [coo] under configuration [cfg]. *)
+let run (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : result =
+  Prep.exec (Prep.make cfg spec coo)
 
 module Merge = Asap_sparsifier.Merge
 
-(* Resolve a Merge compiled function's parameters against two packed
-   storages and a dense output. *)
-let merge_bufs (m : Merge.compiled) (stb : Storage.t) (stc : Storage.t) out =
-  List.map
-    (fun (buffer, binding) ->
-      let st = function `B -> stb | `C -> stc in
-      let data =
-        match binding with
-        | Merge.Mpos (side, l) ->
-          Runtime.RI (Option.get (Storage.pos_buf (st side) l))
-        | Merge.Mcrd (side, l) ->
-          Runtime.RI (Option.get (Storage.crd_buf (st side) l))
-        | Merge.Mvals side -> Runtime.RF (st side).Storage.vals
-        | Merge.Mout -> Runtime.RF out
-      in
-      (buffer, data))
-    m.Merge.m_buffers
+(* The merge runner shared by {!vector_ewise} and {!matrix_ewise}: pack
+   both operands under [enc], bind [m]'s parameters to them and to a
+   dense output spanning [extents], and run once. *)
+let run_merge ~engine machine (m : Merge.compiled) enc ~extents (b : Coo.t)
+    (c : Coo.t) : result =
+  let stb = Storage.pack enc b and stc = Storage.pack enc c in
+  let out = Array.make (Array.fold_left ( * ) 1 extents) 0. in
+  let bufs =
+    List.map
+      (fun (buffer, binding) ->
+        let st = function `B -> stb | `C -> stc in
+        let data =
+          match binding with
+          | Merge.Mpos (side, l) ->
+            Runtime.RI (Option.get (Storage.pos_buf (st side) l))
+          | Merge.Mcrd (side, l) ->
+            Runtime.RI (Option.get (Storage.crd_buf (st side) l))
+          | Merge.Mvals side -> Runtime.RF (st side).Storage.vals
+          | Merge.Mout -> Runtime.RF out
+        in
+        (buffer, data))
+      m.Merge.m_buffers
+  in
+  let scalars = List.map (fun (_, d) -> extents.(d)) m.Merge.m_scalars in
+  let report = Exec.run ~engine machine m.Merge.m_fn ~bufs ~scalars in
+  mk_result report (Coo.nnz b + Coo.nnz c) (Some out) None
 
 (** [vector_ewise machine op b c] merges two sparse vectors element-wise
     (union add or intersection multiply) into a dense output — the
@@ -257,15 +244,8 @@ let vector_ewise ?(engine = Exec.default_engine) (machine : Machine.t)
     (op : Merge.op) (b : Coo.t) (c : Coo.t) : result =
   if Coo.rank b <> 1 || Coo.rank c <> 1 || b.Coo.dims.(0) <> c.Coo.dims.(0)
   then invalid_arg "Driver.vector_ewise: need equal-length sparse vectors";
-  let n = b.Coo.dims.(0) in
-  let enc = Encoding.sparse_vector () in
-  let m = Merge.vector_ewise op in
-  let stb = Storage.pack enc b and stc = Storage.pack enc c in
-  let out = Array.make n 0. in
-  let bufs = merge_bufs m stb stc out in
-  let scalars = List.map (fun (_, d) -> [| n |].(d)) m.Merge.m_scalars in
-  let report = Exec.run ~engine machine m.Merge.m_fn ~bufs ~scalars in
-  mk_result report (Coo.nnz b + Coo.nnz c) (Some out) None
+  run_merge ~engine machine (Merge.vector_ewise op) (Encoding.sparse_vector ())
+    ~extents:b.Coo.dims b c
 
 (** [matrix_ewise machine op b c] merges two CSR matrices row by row into
     a dense row-major output. *)
@@ -273,109 +253,8 @@ let matrix_ewise ?(engine = Exec.default_engine) (machine : Machine.t)
     (op : Merge.op) (b : Coo.t) (c : Coo.t) : result =
   if Coo.rank b <> 2 || b.Coo.dims <> c.Coo.dims then
     invalid_arg "Driver.matrix_ewise: need same-shape matrices";
-  let rows = b.Coo.dims.(0) and cols = b.Coo.dims.(1) in
-  let enc = Encoding.csr () in
-  let m = Merge.matrix_ewise op in
-  let stb = Storage.pack enc b and stc = Storage.pack enc c in
-  let out = Array.make (rows * cols) 0. in
-  let bufs = merge_bufs m stb stc out in
-  let scalars =
-    List.map (fun (_, d) -> [| rows; cols |].(d)) m.Merge.m_scalars
-  in
-  let report = Exec.run ~engine machine m.Merge.m_fn ~bufs ~scalars in
-  mk_result report (Coo.nnz b + Coo.nnz c) (Some out) None
-
-(* TTV has no parallel path: the paper only evaluates it single-threaded,
-   so the assembly pins threads to 1 regardless of the configuration. *)
-let assemble_ttv (cfg : Cfg.t) (enc : Encoding.t option) (coo : Coo.t) :
-    assembled =
-  let enc = match enc with Some e -> e | None -> Encoding.csf 3 in
-  let di = coo.Coo.dims.(0) and dj = coo.Coo.dims.(1) and dk = coo.Coo.dims.(2) in
-  let kernel = Kernel.ttv ~enc () in
-  let compiled =
-    Pipeline.compile ?pipeline:cfg.Cfg.pipeline kernel cfg.Cfg.variant
-  in
-  let st =
-    match cfg.Cfg.st with Some st -> st | None -> Storage.pack enc coo
-  in
-  let out = Array.make (di * dj) 0. in
-  let dense =
-    [ ("c", Runtime.RF (dense_f dk)); ("a", Runtime.RF out) ]
-  in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let scalars =
-    Bindings.scalar_args compiled.Pipeline.cc ~extents:[| di; dj; dk |]
-  in
-  { a_nnz = Coo.nnz coo; a_compiled = compiled; a_bufs = bufs;
-    a_scalars = scalars; a_threads = 1; a_outer_extent = di;
-    a_out_f = Some out; a_out_b = None }
-
-let assemble (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : assembled =
-  match spec with
-  | Spmv enc -> assemble_spmv cfg enc coo
-  | Spmm enc -> assemble_spmm cfg enc coo
-  | Sddmm enc -> assemble_sddmm cfg enc coo
-  | Ttv enc -> assemble_ttv cfg enc coo
-
-(** [run cfg spec coo] is the entry point: execute the kernel named by
-    [spec] on [coo] under configuration [cfg]. *)
-let run (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : result =
-  run_assembled cfg (assemble cfg spec coo)
-
-(** A prepared kernel execution: sparsification, prefetch injection,
-    storage packing, buffer layout and (bytecode engine) program
-    assembly all done once by {!Prep.make}; {!Prep.exec} then re-runs the
-    kernel on a fresh memory hierarchy per call. This is what the serve
-    subsystem's compile cache stores — repeat requests for the same
-    fingerprint skip straight to [exec]. *)
-module Prep = struct
-  type t = {
-    p_cfg : Cfg.t;
-    p_spec : kernel_spec;
-    p_a : assembled;
-    p_prepared : Exec.prepared option;   (* Some iff single-threaded *)
-  }
-
-  let make (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : t =
-    let a = assemble cfg spec coo in
-    let prepared =
-      if a.a_threads <= 1 then
-        Some
-          (Exec.prepare ~engine:cfg.Cfg.engine ?spec:(spec_facts cfg a)
-             cfg.Cfg.machine a.a_compiled.Pipeline.fn ~bufs:a.a_bufs)
-      else None
-    in
-    { p_cfg = cfg; p_spec = spec; p_a = a; p_prepared = prepared }
-
-  let cfg p = p.p_cfg
-  let spec p = p.p_spec
-  let compiled p = p.p_a.a_compiled
-  let nnz p = p.p_a.a_nnz
-
-  (** [exec ?obs p] re-runs the prepared kernel; [obs] overrides the
-      configuration's sink for this run only. The result's [out_f]/[out_b]
-      alias [p]'s output buffers (zeroed before each run — the kernels
-      accumulate into their outputs), so a result is only valid until the
-      next [exec] on the same [p]. *)
-  let exec ?obs (p : t) : result =
-    let obs = match obs with Some s -> s | None -> p.p_cfg.Cfg.obs in
-    let a = p.p_a in
-    (match a.a_out_f with
-     | Some o -> Array.fill o 0 (Array.length o) 0.
-     | None -> ());
-    (match a.a_out_b with
-     | Some o -> Bytes.fill o 0 (Bytes.length o) '\000'
-     | None -> ());
-    let report =
-      match p.p_prepared with
-      | Some pr -> Exec.run_prepared ~obs pr ~scalars:a.a_scalars
-      | None ->
-        run_compiled ?spec:(spec_facts p.p_cfg a) ~engine:p.p_cfg.Cfg.engine
-          ~obs a.a_compiled ~machine:p.p_cfg.Cfg.machine ~threads:a.a_threads
-          ~outer_extent:a.a_outer_extent ~bufs:a.a_bufs ~scalars:a.a_scalars
-    in
-    mk_result report a.a_nnz a.a_out_f a.a_out_b
-end
+  run_merge ~engine machine (Merge.matrix_ewise op) (Encoding.csr ())
+    ~extents:b.Coo.dims b c
 
 (* Max absolute elementwise error of a numeric output against its
    reference. *)

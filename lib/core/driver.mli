@@ -86,19 +86,21 @@ type kernel_spec =
 val run : Cfg.t -> kernel_spec -> Coo.t -> result
 
 (** A prepared kernel execution: sparsification, prefetch injection,
-    storage packing, buffer layout and (bytecode engine) program
-    assembly all done once by {!Prep.make}; {!Prep.exec} then re-runs the
-    kernel on a fresh memory hierarchy per call, returning results equal to
-    {!run} in every field. This is the unit the serve subsystem's
-    compile cache stores. *)
+    specialization (when [cfg.specialize]), storage packing, buffer
+    layout and (bytecode engine) program assembly all done once by
+    {!Prep.make} into one {!Exec.prepared}; {!Prep.exec} then re-runs
+    that program on a fresh memory hierarchy per call — on one core, or
+    split over [cfg.threads] cores by {!Exec.run_parallel}. This is the
+    only execution path: {!run} is [Prep.exec (Prep.make cfg spec coo)].
+    It is also the unit the serve subsystem builds per cache entry. *)
 module Prep : sig
   type t
 
+  (** [make cfg spec coo] prepares the execution.
+      @raise Invalid_argument when [cfg.threads > 1] and the kernel's
+      encoding has no dense top level (TTV always runs
+      single-threaded). *)
   val make : Cfg.t -> kernel_spec -> Coo.t -> t
-  val cfg : t -> Cfg.t
-  val spec : t -> kernel_spec
-  val compiled : t -> Pipeline.compiled
-  val nnz : t -> int
 
   (** [exec ?obs p] re-runs the prepared kernel; [obs] overrides the
       configuration's sink for this run only. The result's

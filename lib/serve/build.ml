@@ -1,14 +1,14 @@
 (* Building one cache entry: the expensive, host-side half of serving.
 
-   An entry holds everything a fingerprint's repeat requests reuse:
-   the prepared execution (sparsified + prefetch-injected IR, packed
-   storage, simulated address layout, bytecode — {!Driver.Prep}),
-   the tuning decision when the request asked for [`Tuned], and the
-   canonical result of one cold execution. The simulator is
-   deterministic, so every execution of the same preparation yields an
-   identical report — the cold run's result IS the result of every
-   repeat request, which is what lets cache hits skip host work
-   entirely.
+   An entry holds everything a fingerprint's repeat requests reuse: the
+   tuning decision when the request asked for [`Tuned], and the
+   canonical result of one cold execution of the prepared kernel
+   ({!Driver.Prep}: sparsified + prefetch-injected IR, packed storage,
+   simulated address layout, bytecode). The preparation itself is not
+   kept: the simulator is deterministic, so every execution of the same
+   preparation yields an identical report — the cold run's result IS
+   the result of every repeat request, which is what lets cache hits
+   skip host work entirely.
 
    Virtual service costs derive from the same build: [run_ms] is the
    kernel's simulated cycles at the machine's frequency, and [tune_ms]
@@ -34,7 +34,6 @@ module Asap = Asap_prefetch.Asap
 type entry = {
   e_fp : string;                      (* Request.fingerprint *)
   e_machine : Machine.t;
-  e_prep : Driver.Prep.t;
   e_decide : Select.decision option;  (* Some iff variant was `Tuned … *)
   e_tune_fell_back : bool;            (* … and tuning was inapplicable *)
   e_result : Driver.result;           (* the canonical cold run *)
@@ -125,7 +124,7 @@ let build ?st:(prepack : Storage.t option) (req : Request.t) (coo : Coo.t) :
   let run_ms =
     Machine.cycles_to_ms machine (Exec.Report.cycles result.Driver.report)
   in
-  { e_fp = Request.fingerprint req; e_machine = machine; e_prep = prep;
+  { e_fp = Request.fingerprint req; e_machine = machine;
     e_decide = decide; e_tune_fell_back = fell_back; e_result = result;
     e_run_ms = run_ms; e_tune_ms = tune_ms;
     e_spec = req.Request.specialize; e_spec_ns = spec_ns }

@@ -1,9 +1,10 @@
 (** Building one cache entry — the expensive host-side half of serving:
-    the prepared execution ({!Asap_core.Driver.Prep}), the tuning
-    decision for [`Tuned] requests (under the request's tuning mode:
-    sweep, model or hybrid — {!Asap_model.Select}), and the canonical
-    result of one cold run (the simulator is deterministic, so repeats
-    are identical and cache hits skip host work entirely). Virtual
+    the tuning decision for [`Tuned] requests (under the request's
+    tuning mode: sweep, model or hybrid — {!Asap_model.Select}), and the
+    canonical result of one cold run of the prepared execution
+    ({!Asap_core.Driver.Prep}, not kept in the entry: the simulator is
+    deterministic, so repeats are identical and cache hits skip host
+    work entirely). Virtual
     service costs ride along: [run_ms] (simulated kernel time) and
     [tune_ms] (simulated decision time — profile runs for sweep,
     feature extraction for model — charged to cache misses). The matrix
@@ -18,7 +19,6 @@ module Select = Asap_model.Select
 type entry = {
   e_fp : string;                      (** {!Request.fingerprint} *)
   e_machine : Machine.t;
-  e_prep : Driver.Prep.t;
   e_decide : Select.decision option;  (** Some iff variant was [`Tuned] … *)
   e_tune_fell_back : bool;            (** … and tuning was inapplicable *)
   e_result : Driver.result;           (** the canonical cold run *)

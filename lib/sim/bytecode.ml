@@ -90,8 +90,8 @@ let st_lat = 1
    55 FOR_LOOP l ivd body                4    (fused FOR_NEXT + FOR_TEST at
                                               the loop tail; falls through
                                               to FOR_EXIT when done)
-   56 FOR_KENTER l ivd                   3    (spec-only entry for non-top
-                                              loops with constant bounds and
+   56 FOR_KENTER l ivd                   3    (entry for non-top loops with
+                                              literal-constant bounds and
                                               trip >= 1: the statically-taken
                                               FOR_TEST without the guard
                                               compare; same timing events) *)
@@ -157,8 +157,8 @@ type loop_info = {
   l_step : int;
   l_top : bool;
   l_const : (int * int * int) option;
-      (* spec mode: (lo, hi, step) immediates when all three bounds are
-         literal constants in the stream — the loop entry then skips the
+      (* (lo, hi, step) immediates when all three bounds are literal
+         constants in the stream — the loop entry then skips the
          bound reload and the step trap (timing-neutral: the same ready
          times and events are produced) *)
   l_init : carry;
@@ -279,7 +279,7 @@ let icmp_code = function
   | Ir.Ugt | Ir.Sgt -> op_ceq + 4
   | Ir.Uge | Ir.Sge -> op_ceq + 5
 
-let compile ?(fuse = true) ?(spec = false) (fn : Ir.func)
+let compile ?(fuse = true) (fn : Ir.func)
     ~(bufs : Runtime.bound array) : prog =
   let e =
     { e_code = Array.make 256 0; e_len = 0;
@@ -288,8 +288,8 @@ let compile ?(fuse = true) ?(spec = false) (fn : Ir.func)
       e_whiles = []; e_nwhiles = 0;
       e_fused = 0 }
   in
-  (* Literal integer constants seen so far (vid -> value). In spec mode
-     loop bounds found here are baked into [l_const]; SSA dominance
+  (* Literal integer constants seen so far (vid -> value). Loop bounds
+     found here are baked into [l_const]; SSA dominance
      guarantees a bound's defining let is emitted before its loop. *)
   let consts : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let emit_load ~d ~ix (buf : Ir.buffer) =
@@ -485,15 +485,13 @@ let compile ?(fuse = true) ?(spec = false) (fn : Ir.func)
          patch e end_ph (pos e))
   and loop_of ~top (f : Ir.forloop) =
     let l_const =
-      if not spec then None
-      else
-        match
-          ( Hashtbl.find_opt consts f.Ir.f_lo.Ir.vid,
-            Hashtbl.find_opt consts f.Ir.f_hi.Ir.vid,
-            Hashtbl.find_opt consts f.Ir.f_step.Ir.vid )
-        with
-        | Some lo, Some hi, Some step when step > 0 -> Some (lo, hi, step)
-        | _ -> None
+      match
+        ( Hashtbl.find_opt consts f.Ir.f_lo.Ir.vid,
+          Hashtbl.find_opt consts f.Ir.f_hi.Ir.vid,
+          Hashtbl.find_opt consts f.Ir.f_step.Ir.vid )
+      with
+      | Some lo, Some hi, Some step when step > 0 -> Some (lo, hi, step)
+      | _ -> None
     in
     let info =
       { l_lo = f.Ir.f_lo.Ir.vid;
@@ -674,7 +672,7 @@ let for_init st (loops : loop_info array) l =
   let lo0, hi0, step =
     match info.l_const with
     | Some (lo, hi, step) ->
-      (* Specialized: bounds baked in at compile time — no env reload
+      (* Constant bounds baked in at compile time — no env reload
          and the positive-step trap is statically discharged. The
          induction ready time below still reads [ready] so virtual
          timing matches the generic stream exactly. *)

@@ -22,18 +22,17 @@ open Asap_ir
     binding. Slices, scalars and the memory port bind at {!run} time. *)
 type prog
 
-(** [compile ?fuse ?spec fn ~bufs] flattens [fn] over the bound buffer
+(** [compile ?fuse fn ~bufs] flattens [fn] over the bound buffer
     array (as produced by {!Runtime.layout}). [fuse] (default [true])
     enables superinstruction fusion; disabling it emits one opcode per
     IR operation — the two forms agree cycle-for-cycle (fusion only
-    batches dispatch, never timing events). [spec] (default [false])
-    turns on specialization-aware emission for pre-specialized
-    functions (see {!Specialize}): loop bounds proven constant are
-    baked into the loop table, the entry guard of statically-taken
-    non-top loops becomes a guard-free [FOR_KENTER], and the bound
-    reload plus step trap vanish from loop entry — the same timing
-    events issue either way, so [spec] never changes a report. *)
-val compile : ?fuse:bool -> ?spec:bool -> Ir.func -> bufs:Runtime.bound array -> prog
+    batches dispatch, never timing events). Loops whose bounds are
+    literal constants in [fn] (the dense loops {!Specialize} folds, the
+    fixed BSR block loops) have them baked into the loop table: the
+    bound reload and step trap vanish from loop entry, and the entry
+    guard of a statically-taken non-top loop becomes a guard-free
+    [FOR_KENTER] — the same timing events issue either way. *)
+val compile : ?fuse:bool -> Ir.func -> bufs:Runtime.bound array -> prog
 
 (** Number of superinstructions emitted (0 when compiled with
     [~fuse:false]); exposed for tests and diagnostics. *)

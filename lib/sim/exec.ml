@@ -115,61 +115,60 @@ type staged =
   | S_interp
   | S_bytecode of Bytecode.prog
 
-(* A prepared single-core execution: address layout and (for bytecode)
-   the flat program, both computed once. The buffer binding is captured
-   — re-running reads whatever the bound arrays contain at that
-   moment — but the memory hierarchy is created fresh per run, so repeat
-   runs are independent simulations. This is the amortisation point the
-   serve subsystem's compile cache stores. *)
+(* A prepared execution: address layout and (for bytecode) the flat
+   program, both computed once. The buffer binding is captured —
+   re-running reads whatever the bound arrays contain at that moment —
+   but the memory hierarchy is created fresh per run, so repeat runs are
+   independent simulations. Single- and multi-core runs execute the same
+   prepared form. This is the amortisation point the serve subsystem's
+   compile cache stores. *)
 type prepared = {
   pr_machine : Machine.t;
   pr_fn : Ir.func;
   pr_bound : Runtime.bound array;
   pr_staged : staged;
-  pr_spec : Specialize.stats option;  (* Some iff prepared with ~spec *)
 }
 
 (** [prepare ?engine ?spec machine fn ~bufs] lays out [bufs] in the
     simulated address space and, for the bytecode engine, compiles the
     flat program — the run-independent half of {!run}, done once and
-    reused by every {!run_prepared}. When [spec] is given,
-    the function is first rewritten by {!Specialize.apply} against those
-    facts (any engine; the bytecode engine additionally bakes the
-    constant loop bounds into its loop table). *)
+    reused by every {!run_prepared} and {!run_parallel}. When [spec] is
+    given, the function is first rewritten by {!Specialize.apply}
+    against those facts. *)
 let prepare ?(engine = default_engine) ?(spec : Specialize.facts option)
     (machine : Machine.t) (fn : Ir.func)
     ~(bufs : (Ir.buffer * Runtime.rbuf) list) : prepared =
-  let fn, sp_stats =
+  let fn =
     match spec with
-    | None -> (fn, None)
-    | Some facts ->
-      let fn', st = Specialize.apply facts fn in
-      (fn', Some st)
+    | None -> fn
+    | Some facts -> fst (Specialize.apply facts fn)
   in
   let bound = Runtime.layout fn bufs in
   let staged =
     match engine with
     | `Interp -> S_interp
-    | `Bytecode ->
-      S_bytecode (Bytecode.compile ~spec:(spec <> None) fn ~bufs:bound)
+    | `Bytecode -> S_bytecode (Bytecode.compile fn ~bufs:bound)
   in
-  { pr_machine = machine; pr_fn = fn; pr_bound = bound; pr_staged = staged;
-    pr_spec = sp_stats }
+  { pr_machine = machine; pr_fn = fn; pr_bound = bound; pr_staged = staged }
 
-let prepared_engine p : engine =
+(* The one engine dispatch: run [p]'s staged program on one core whose
+   memory accesses go through [mem]. *)
+let run_core ?slice (p : prepared) ~scalars ~mem : Interp.result =
+  let m = p.pr_machine in
+  let width = m.Machine.width and rob_size = m.Machine.rob in
+  let branch_miss = m.Machine.branch_miss in
   match p.pr_staged with
-  | S_interp -> `Interp
-  | S_bytecode _ -> `Bytecode
-
-(** Specialization statistics, when the prepared form was specialized. *)
-let prepared_spec p = p.pr_spec
+  | S_interp ->
+    Interp.run ?slice ~width ~rob_size ~branch_miss p.pr_fn ~bufs:p.pr_bound
+      ~scalars ~mem
+  | S_bytecode bp ->
+    Bytecode.run ?slice ~width ~rob_size ~branch_miss bp ~scalars ~mem
 
 (** [run_prepared ?obs ?slice p ~scalars] executes [p] on one core of a
     fresh memory hierarchy. Equal in every report field to the {!run}
     that [p] was prepared from. *)
 let run_prepared ?obs ?slice (p : prepared) ~(scalars : int list) : report =
-  let machine = p.pr_machine in
-  let hier = Hierarchy.create ?obs machine in
+  let hier = Hierarchy.create ?obs p.pr_machine in
   let mem =
     { Interp.m_load = (fun ~pc ~addr ~at -> Hierarchy.load hier ~core:0 ~pc ~addr ~at);
       m_store = (fun ~pc ~addr ~at -> Hierarchy.store hier ~core:0 ~pc ~addr ~at);
@@ -177,18 +176,8 @@ let run_prepared ?obs ?slice (p : prepared) ~(scalars : int list) : report =
         (fun ~addr ~locality ~at ->
           Hierarchy.prefetch hier ~core:0 ~addr ~locality ~at) }
   in
-  let width = machine.Machine.width in
-  let rob_size = machine.Machine.rob in
-  let branch_miss = machine.Machine.branch_miss in
-  let r =
-    match p.pr_staged with
-    | S_interp ->
-      Interp.run ?slice ~width ~rob_size ~branch_miss p.pr_fn ~bufs:p.pr_bound
-        ~scalars ~mem
-    | S_bytecode bp ->
-      Bytecode.run ?slice ~width ~rob_size ~branch_miss bp ~scalars ~mem
-  in
-  aggregate machine 1 p.pr_fn [| r |] (Hierarchy.stats hier)
+  let r = run_core ?slice p ~scalars ~mem in
+  aggregate p.pr_machine 1 p.pr_fn [| r |] (Hierarchy.stats hier)
 
 (** [run ?slice machine fn ~bufs ~scalars] executes [fn] on one core;
     [slice] restricts the outermost loop's range (used by profiling). *)
@@ -197,24 +186,26 @@ let run ?(engine = default_engine) ?obs ?slice (machine : Machine.t)
     ~(scalars : int list) : report =
   run_prepared ?obs ?slice (prepare ~engine machine fn ~bufs) ~scalars
 
-(** [run_parallel machine ~threads ~outer_extent fn ...] executes [fn] with
-    the dense-outer-loop parallelisation strategy: the outermost loop range
-    [0, outer_extent) is split into [threads] contiguous slices, one per
-    core, on a shared memory hierarchy. *)
-let run_parallel ?(engine = default_engine) ?obs (machine : Machine.t) ~threads
-    ~outer_extent (fn : Ir.func) ~(bufs : (Ir.buffer * Runtime.rbuf) list)
+(** [run_parallel ?obs p ~threads ~outer_extent ~scalars] executes [p]
+    with the dense-outer-loop parallelisation strategy: the outermost
+    loop range [0, outer_extent) is split into [threads] contiguous
+    slices, one per core, on a shared memory hierarchy. *)
+let run_parallel ?obs (p : prepared) ~threads ~outer_extent
     ~(scalars : int list) : report =
+  let machine = p.pr_machine in
   if threads < 1 || threads > machine.Machine.cores then
     invalid_arg "Exec.run_parallel: bad thread count";
-  let bound = Runtime.layout fn bufs in
   let hier = Hierarchy.create ?obs machine in
   let chunk = (outer_extent + threads - 1) / threads in
   let slices =
     Array.init threads (fun t ->
         (t * chunk, min outer_extent ((t + 1) * chunk)))
   in
-  let rs = Multicore.run ~engine machine hier fn ~bufs:bound ~scalars ~slices in
-  aggregate machine threads fn rs (Hierarchy.stats hier)
+  let rs =
+    Multicore.run hier ~slices ~core_run:(fun ~slice ~mem ->
+        run_core ~slice p ~scalars ~mem)
+  in
+  aggregate machine threads p.pr_fn rs (Hierarchy.stats hier)
 
 (* Derived metrics (paper §5). *)
 

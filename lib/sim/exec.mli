@@ -47,9 +47,10 @@ val engine_of_string : string -> engine option
 
 val engine_to_string : engine -> string
 
-(** A prepared single-core execution: the simulated address layout and
-    (for bytecode) the flat program, computed once by
-    {!prepare} and reusable across {!run_prepared} calls. The buffer
+(** A prepared execution: the simulated address layout and (for
+    bytecode) the flat program, computed once by {!prepare} and
+    reusable across {!run_prepared} and {!run_parallel} calls, so
+    single- and multi-core runs execute the same program. The buffer
     binding is captured — re-running reads whatever the bound arrays
     contain at that moment — but the memory hierarchy is fresh per run,
     so repeat runs are independent simulations. This is the amortisation
@@ -60,17 +61,10 @@ type prepared
     of {!run}: layout plus (bytecode) program compilation.
     With [spec], the function is first rewritten by {!Specialize.apply}
     against those facts (works under any engine so the differential
-    suite can cross-check the specialized IR; the bytecode engine
-    additionally bakes constant loop bounds into its loop table). *)
+    suite can cross-check the specialized IR). *)
 val prepare :
   ?engine:engine -> ?spec:Specialize.facts -> Machine.t -> Ir.func ->
   bufs:(Ir.buffer * Runtime.rbuf) list -> prepared
-
-(** The engine [p] was prepared for. *)
-val prepared_engine : prepared -> engine
-
-(** Specialization statistics, [Some] iff [p] was prepared with [~spec]. *)
-val prepared_spec : prepared -> Specialize.stats option
 
 (** [run_prepared ?obs ?slice p ~scalars] executes [p] on one core of a
     fresh memory hierarchy; equal in every report field to the {!run} it
@@ -88,14 +82,14 @@ val run :
   ?engine:engine -> ?obs:Asap_obs.Sink.t -> ?slice:int * int -> Machine.t ->
   Ir.func -> bufs:(Ir.buffer * Runtime.rbuf) list -> scalars:int list -> report
 
-(** [run_parallel ?engine ?obs machine ~threads ~outer_extent fn ~bufs
-    ~scalars] executes [fn] with the dense-outer-loop strategy: the
-    outermost loop range [0, outer_extent) is split into [threads]
-    contiguous slices, one per core, on a shared hierarchy. *)
+(** [run_parallel ?obs p ~threads ~outer_extent ~scalars] executes [p]
+    with the dense-outer-loop strategy: the outermost loop range
+    [0, outer_extent) is split into [threads] contiguous slices, one per
+    core, on a shared hierarchy ({!Multicore}).
+    @raise Invalid_argument unless [1 <= threads <= cores]. *)
 val run_parallel :
-  ?engine:engine -> ?obs:Asap_obs.Sink.t -> Machine.t -> threads:int ->
-  outer_extent:int -> Ir.func ->
-  bufs:(Ir.buffer * Runtime.rbuf) list -> scalars:int list -> report
+  ?obs:Asap_obs.Sink.t -> prepared -> threads:int -> outer_extent:int ->
+  scalars:int list -> report
 
 (** [l2_mpki r] is demand L2 misses per kilo-instruction. *)
 val l2_mpki : report -> float

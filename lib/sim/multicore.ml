@@ -57,36 +57,18 @@ let handler : (Interp.result, step) handler =
                   k ))
         | _ -> None) }
 
-(** [run ?engine machine hier fn ~bufs ~scalars ~slices] executes one
-    copy of [fn] per slice (static row partitioning), interleaving their
-    memory events on the shared hierarchy. Returns per-core results. With
-    the bytecode engine (the default) the function is compiled once and
-    the program is shared by all fibers — per-run state lives in each
-    fiber's own run, so sharing is safe. *)
-let run ?(engine : [ `Interp | `Bytecode ] = `Bytecode)
-    (machine : Machine.t)
-    (hier : Hierarchy.t) (fn : Asap_ir.Ir.func) ~(bufs : Runtime.bound array)
-    ~(scalars : int list) ~(slices : (int * int) array)
-  : Interp.result array =
+(** [run hier ~core_run ~slices] runs [core_run] once per slice (static
+    row partitioning), interleaving their memory events on the shared
+    hierarchy. Returns per-core results. *)
+let run (hier : Hierarchy.t)
+    ~(core_run : slice:int * int -> mem:Interp.mem -> Interp.result)
+    ~(slices : (int * int) array) : Interp.result array =
   let n = Array.length slices in
-  let core_run : slice:int * int -> Interp.result =
-    let width = machine.Machine.width in
-    let rob_size = machine.Machine.rob in
-    let branch_miss = machine.Machine.branch_miss in
-    match engine with
-    | `Interp ->
-      fun ~slice ->
-        Interp.run ~slice ~width ~rob_size ~branch_miss fn ~bufs ~scalars
-          ~mem:effect_mem
-    | `Bytecode ->
-      let p = Bytecode.compile fn ~bufs in
-      fun ~slice ->
-        Bytecode.run ~slice ~width ~rob_size ~branch_miss p ~scalars
-          ~mem:effect_mem
-  in
   let steps =
     Array.init n (fun c ->
-        match_with (fun () -> core_run ~slice:slices.(c)) () handler)
+        match_with
+          (fun () -> core_run ~slice:slices.(c) ~mem:effect_mem)
+          () handler)
   in
   let results = Array.make n None in
   let finished = ref 0 in

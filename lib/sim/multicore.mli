@@ -6,14 +6,13 @@
     deterministically on the shared L2/L3/DRAM resources. This replaces the
     paper's OpenMP dense-outer-loop execution (§4.3). *)
 
-(** [run ?engine machine hier fn ~bufs ~scalars ~slices] executes one
-    copy of [fn] per slice (static row partitioning), interleaving their
+(** [run hier ~core_run ~slices] starts one fiber per slice (static row
+    partitioning), each calling [core_run ~slice ~mem] with a memory
+    port that suspends the fiber at every access, and interleaves their
     memory events on the shared hierarchy [hier]. Returns per-core
-    results. [engine] selects the tree-walking interpreter or the
-    flat-bytecode engine (default [`Bytecode]; both agree cycle-exactly —
-    with bytecode the function is compiled once and shared by all
-    fibers). *)
+    results. [core_run] is the single-core engine run ({!Exec} passes
+    its prepared program), so it must keep its per-run state local. *)
 val run :
-  ?engine:[ `Interp | `Bytecode ] ->
-  Machine.t -> Hierarchy.t -> Asap_ir.Ir.func -> bufs:Runtime.bound array ->
-  scalars:int list -> slices:(int * int) array -> Interp.result array
+  Hierarchy.t ->
+  core_run:(slice:int * int -> mem:Interp.mem -> Interp.result) ->
+  slices:(int * int) array -> Interp.result array

@@ -27,10 +27,10 @@
    legitimately differs from the generic function — that is the point —
    but is identical across both engines for the same specialized
    IR, which the differential suite enforces. The bytecode backend
-   additionally recognises constant loop bounds in the specialized
-   stream ({!Bytecode.compile} [~spec:true]): baked bound immediates and
-   known-taken entry tests cut host dispatch work while issuing exactly
-   the same timing events. *)
+   bakes the literal loop bounds this pass leaves behind into its loop
+   table ({!Bytecode.compile}): bound immediates and known-taken entry
+   tests cut host dispatch work while issuing exactly the same timing
+   events. *)
 
 open Asap_ir
 

@@ -57,8 +57,8 @@ let same_result name (a : Driver.result) (b : Driver.result) =
 let two_way name (f : Exec.engine -> Driver.result) =
   same_result (name ^ " bytecode") (f `Interp) (f `Bytecode)
 
-let cfg ?threads ?binary ?n ?(machine = machine) engine variant =
-  Driver.Cfg.make ~engine ?threads ?binary ?n ~machine ~variant ()
+let cfg ?threads ?binary ?n ?specialize ?(machine = machine) engine variant =
+  Driver.Cfg.make ~engine ?threads ?binary ?n ?specialize ~machine ~variant ()
 
 let test_differential_spmv () =
   let coo = small_matrix 21 in
@@ -106,19 +106,25 @@ let test_differential_ttv () =
 
 let test_differential_multicore () =
   (* Four slices on a shared hierarchy: the effect-handler scheduler must
-     interleave identically whichever engine drives the fibers. *)
+     interleave identically whichever engine drives the fibers, on the
+     generic and on the specialized (constant-bound) program. *)
   let coo = small_matrix 25 in
   let machine4 = Machine.gracemont_scaled ~cores:4 () in
   List.iter
-    (fun (vn, v) ->
-      let run engine =
-        Driver.run (cfg ~threads:4 ~machine:machine4 engine v)
-          (Driver.Spmv (Encoding.csr ())) coo
-      in
-      two_way ("multicore spmv " ^ vn) run;
-      check ("multicore " ^ vn ^ ": 4 threads") true
-        ((run `Bytecode).Driver.report.Asap_sim.Exec.rp_threads = 4))
-    variants
+    (fun specialize ->
+      List.iter
+        (fun (vn, v) ->
+          let vn = if specialize then vn ^ " specialized" else vn in
+          let run engine =
+            Driver.run
+              (cfg ~threads:4 ~specialize ~machine:machine4 engine v)
+              (Driver.Spmv (Encoding.csr ())) coo
+          in
+          two_way ("multicore spmv " ^ vn) run;
+          check ("multicore " ^ vn ^ ": 4 threads") true
+            ((run `Bytecode).Driver.report.Asap_sim.Exec.rp_threads = 4))
+        variants)
+    [ false; true ]
 
 let test_multicore_deterministic () =
   (* Two invocations of the same 4-slice run must agree exactly — the

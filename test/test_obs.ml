@@ -266,7 +266,30 @@ let test_run_equals_prep () =
     coo;
   both "sddmm" { cfg with Driver.Cfg.n = Some 3 } (Driver.Sddmm enc) coo;
   let t3 = Generate.tensor3 ~seed:67 ~dims:[| 15; 20; 25 |] ~nnz:300 () in
-  both "ttv" cfg (Driver.Ttv None) t3
+  both "ttv" cfg (Driver.Ttv None) t3;
+  (* A four-thread Prep re-executes exactly, and its outputs match the
+     single-thread run (each row is still summed by one core). *)
+  let machine4 = Machine.gracemont_scaled ~cores:4 () in
+  let parallel name cfg spec =
+    let cfg4 = { cfg with Driver.Cfg.machine = machine4; threads = 4 } in
+    let p = Driver.Prep.make cfg4 spec coo in
+    let owned (r : Driver.result) =
+      { r with Driver.out_f = Option.map Array.copy r.Driver.out_f;
+               out_b = Option.map Bytes.copy r.Driver.out_b }
+    in
+    let first = owned (Driver.Prep.exec p) in
+    let second = Driver.Prep.exec p in
+    same_result (name ^ " x4 re-exec") first second;
+    check (name ^ " x4: 4 threads") true
+      (Exec.Report.threads second.Driver.report = 4);
+    let single = Driver.run cfg spec coo in
+    check (name ^ " x4: out_f = 1 thread") true
+      (second.Driver.out_f = single.Driver.out_f);
+    check (name ^ " x4: out_b = 1 thread") true
+      (second.Driver.out_b = single.Driver.out_b)
+  in
+  parallel "spmv" cfg (Driver.Spmv enc);
+  parallel "spmm" { cfg with Driver.Cfg.n = Some 4 } (Driver.Spmm enc)
 
 (* --- Registry snapshot/diff ------------------------------------------ *)
 

@@ -386,8 +386,9 @@ let test_multicore_matches_single () =
     let m = Machine.gracemont ~hw:quiet_hw ~cores:4 () in
     let r =
       if threads = 1 then Exec.run m fn ~bufs ~scalars:[ rows ]
-      else Exec.run_parallel m ~threads ~outer_extent:rows fn ~bufs
-          ~scalars:[ rows ]
+      else
+        Exec.run_parallel (Exec.prepare m fn ~bufs) ~threads
+          ~outer_extent:rows ~scalars:[ rows ]
     in
     (Array.copy a_a, r)
   in
@@ -414,8 +415,8 @@ let test_multicore_deterministic () =
         (a, Runtime.RF a_a) ]
     in
     let m = Machine.gracemont ~hw:quiet_hw ~cores:2 () in
-    (Exec.run_parallel m ~threads:2 ~outer_extent:rows fn ~bufs
-       ~scalars:[ rows ]).Exec.rp_cycles
+    (Exec.run_parallel (Exec.prepare m fn ~bufs) ~threads:2
+       ~outer_extent:rows ~scalars:[ rows ]).Exec.rp_cycles
   in
   check_int "deterministic cycles" (run ()) (run ())
 
