@@ -260,7 +260,8 @@ let engine () =
   in
   (* Microbench: one SpMV matrix generated and packed once, then each
      engine runs the same baseline/asap/aj cells on fresh hierarchies, so
-     the comparison isolates engine cost from workload setup. *)
+     the comparison isolates engine cost from workload setup. The pack
+     itself is timed on its own. *)
   let rows_n = 60_000 and reps = 2 in
   let coo =
     Generate.power_law ~seed:1 ~rows:rows_n ~cols:rows_n ~avg_deg:8
@@ -268,6 +269,11 @@ let engine () =
   in
   let enc = Encoding.csr () in
   let st = Storage.pack enc coo in
+  (* Host cost of that pack (sort, dedup, serialise), median of 9. *)
+  let pack_ns_per_nnz =
+    Harness.measure_wall (fun () -> ignore (Storage.pack enc coo))
+    *. 1e9 /. count (Coo.nnz coo)
+  in
   let machine = Machine.gracemont_scaled ~hw:Machine.hw_optimized () in
   let micro engine =
     let run variant =
@@ -288,7 +294,8 @@ let engine () =
   in
   let ti, ii = micro `Interp in
   let tb, ib = micro `Bytecode in
-  let g = "fig6_quick" and m = "spmv_powerlaw_60000" in
+  let g = "fig6_quick" and m = "spmv_powerlaw_60000"
+  and p = "pack_powerlaw_60000" in
   [ row g "tables_identical" "bool" Virtual (flag (interp = bytecode))
       ?gate:holds_true;
     row g "cells" "count" Virtual (count (List.length bytecode));
@@ -301,6 +308,8 @@ let engine () =
       row m "interp_instructions" "count" Virtual (count ii)
         ?gate:(equals (count ib)) ]
   @ walls m (count ib /. 1e6) ti tb
+  @ [ row p "ns_per_nnz" "ns" Host pack_ns_per_nnz
+        ?gate:(gate ~regress:true Le max_regress) ]
 
 (* --- serve: hot/cold replay, cache on vs off ------------------------- *)
 

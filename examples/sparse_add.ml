@@ -28,7 +28,7 @@ let sparse_vec ~seed ~n ~nnz =
     end
   done;
   Coo.create ~dims:[| n |]
-    ~coords:(Array.of_list (List.map (fun (i, _) -> [| i |]) !entries))
+    ~crd:[| Array.of_list (List.map fst !entries) |]
     ~vals:(Array.of_list (List.map snd !entries))
 
 let () =

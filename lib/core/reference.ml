@@ -11,9 +11,9 @@ let spmv (coo : Coo.t) (c : float array) : float array =
   if Array.length c <> coo.Coo.dims.(1) then
     invalid_arg "Reference.spmv: vector length mismatch";
   let a = Array.make coo.Coo.dims.(0) 0. in
-  Array.iteri
-    (fun k cd -> a.(cd.(0)) <- a.(cd.(0)) +. (coo.Coo.vals.(k) *. c.(cd.(1))))
-    coo.Coo.coords;
+  let ci = coo.Coo.crd.(0) and cj = coo.Coo.crd.(1) in
+  Array.iteri (fun k v -> a.(ci.(k)) <- a.(ci.(k)) +. (v *. c.(cj.(k))))
+    coo.Coo.vals;
   a
 
 (** [spmm coo cm ~n] computes A = B C with row-major C of [n] columns. *)
@@ -23,13 +23,12 @@ let spmm (coo : Coo.t) (cm : float array) ~n : float array =
     invalid_arg "Reference.spmm: C shape mismatch";
   let a = Array.make (coo.Coo.dims.(0) * n) 0. in
   Array.iteri
-    (fun idx cd ->
-      let i = cd.(0) and j = cd.(1) in
-      let v = coo.Coo.vals.(idx) in
+    (fun idx v ->
+      let i = coo.Coo.crd.(0).(idx) and j = coo.Coo.crd.(1).(idx) in
       for k = 0 to n - 1 do
         a.((i * n) + k) <- a.((i * n) + k) +. (v *. cm.((j * n) + k))
       done)
-    coo.Coo.coords;
+    coo.Coo.vals;
   a
 
 (** [sddmm coo am bm ~kk] computes the sampled dense-dense product
@@ -46,9 +45,8 @@ let sddmm (coo : Coo.t) (am : float array) (bm : float array) ~kk :
     invalid_arg "Reference.sddmm: B shape mismatch";
   let o = Array.make (rows * cols) 0. in
   Array.iteri
-    (fun idx cd ->
-      let i = cd.(0) and j = cd.(1) in
-      let s = coo.Coo.vals.(idx) in
+    (fun idx s ->
+      let i = coo.Coo.crd.(0).(idx) and j = coo.Coo.crd.(1).(idx) in
       (* Accumulate in k order with the sample factored into each term,
          matching the lowered loop (out += S*A*B per k) bit for bit. *)
       let acc = ref o.((i * cols) + j) in
@@ -56,7 +54,7 @@ let sddmm (coo : Coo.t) (am : float array) (bm : float array) ~kk :
         acc := !acc +. (s *. am.((i * kk) + k) *. bm.((k * cols) + j))
       done;
       o.((i * cols) + j) <- !acc)
-    coo.Coo.coords;
+    coo.Coo.vals;
   o
 
 (** [ttv coo c] computes the rank-3 contraction a(i,j) = B(i,j,k) c(k),
@@ -67,21 +65,23 @@ let ttv (coo : Coo.t) (c : float array) : float array =
     invalid_arg "Reference.ttv: vector length mismatch";
   let nj = coo.Coo.dims.(1) in
   let a = Array.make (coo.Coo.dims.(0) * nj) 0. in
+  let crd = coo.Coo.crd in
   Array.iteri
-    (fun k cd ->
-      let off = (cd.(0) * nj) + cd.(1) in
-      a.(off) <- a.(off) +. (coo.Coo.vals.(k) *. c.(cd.(2))))
-    coo.Coo.coords;
+    (fun k v ->
+      let off = (crd.(0).(k) * nj) + crd.(1).(k) in
+      a.(off) <- a.(off) +. (v *. c.(crd.(2).(k))))
+    coo.Coo.vals;
   a
 
 (** Boolean SpMV for binary matrices: a_i |= B_ij & c_j (paper §4.2). *)
 let spmv_binary (coo : Coo.t) (c : int array) : int array =
   let a = Array.make coo.Coo.dims.(0) 0 in
+  let ci = coo.Coo.crd.(0) and cj = coo.Coo.crd.(1) in
   Array.iteri
-    (fun k cd ->
-      let b = if coo.Coo.vals.(k) <> 0. then 1 else 0 in
-      a.(cd.(0)) <- a.(cd.(0)) lor (b land c.(cd.(1))))
-    coo.Coo.coords;
+    (fun k v ->
+      let b = if v <> 0. then 1 else 0 in
+      a.(ci.(k)) <- a.(ci.(k)) lor (b land c.(cj.(k))))
+    coo.Coo.vals;
   a
 
 (** Element-wise reference over dense expansions: union add. *)
@@ -98,11 +98,11 @@ let ewise_mul (b : Coo.t) (c : Coo.t) : float array =
 let spmm_binary (coo : Coo.t) (cm : int array) ~n : int array =
   let a = Array.make (coo.Coo.dims.(0) * n) 0 in
   Array.iteri
-    (fun idx cd ->
-      let i = cd.(0) and j = cd.(1) in
-      let b = if coo.Coo.vals.(idx) <> 0. then 1 else 0 in
+    (fun idx v ->
+      let i = coo.Coo.crd.(0).(idx) and j = coo.Coo.crd.(1).(idx) in
+      let b = if v <> 0. then 1 else 0 in
       for k = 0 to n - 1 do
         a.((i * n) + k) <- a.((i * n) + k) lor (b land cm.((j * n) + k))
       done)
-    coo.Coo.coords;
+    coo.Coo.vals;
   a

@@ -115,9 +115,9 @@ let extract ~(machine : Machine.t) (enc : Encoding.t) (coo : Coo.t) : t =
      what a packed non-unique level streams. *)
   let dev_sum = ref 0. in
   let scale = float_of_int cols /. float_of_int (max 1 rows) in
+  let ci = coo.Coo.crd.(0) and cj = coo.Coo.crd.(1) in
   for k = 0 to nnz - 1 do
-    let c = coo.Coo.coords.(k) in
-    let i = c.(0) and j = c.(1) in
+    let i = ci.(k) and j = cj.(k) in
     counts.(i) <- counts.(i) + 1;
     dev_sum :=
       !dev_sum +. Float.abs (float_of_int j -. (float_of_int i *. scale));
@@ -176,8 +176,7 @@ let extract ~(machine : Machine.t) (enc : Encoding.t) (coo : Coo.t) : t =
     | Some (bh, bw) ->
       let seen = Hashtbl.create (max 16 nnz) in
       for k = 0 to nnz - 1 do
-        let c = coo.Coo.coords.(k) in
-        let key = ((c.(0) / bh) * ((cols / bw) + 1)) + (c.(1) / bw) in
+        let key = ((ci.(k) / bh) * ((cols / bw) + 1)) + (cj.(k) / bw) in
         if not (Hashtbl.mem seen key) then Hashtbl.add seen key ()
       done;
       Hashtbl.length seen

@@ -474,25 +474,26 @@ module Update = struct
         (Printf.sprintf "Update %s: matrix %s is not rank-2" u.u_id
            u.u_matrix);
     let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-    let value : (int * int, float) Hashtbl.t =
+    (* Coordinates key as the row-major offset [i * cols + j]. *)
+    let value : (int, float) Hashtbl.t =
       Hashtbl.create (max 16 (Array.length u.u_deltas))
     in
     Array.iter
       (fun (i, j, v) ->
-        if i >= rows || j >= cols then
+        if i < 0 || i >= rows || j < 0 || j >= cols then
           invalid_arg
             (Printf.sprintf "Update %s: delta (%d, %d) outside %dx%d" u.u_id
                i j rows cols);
-        Hashtbl.replace value (i, j) v)
+        Hashtbl.replace value ((i * cols) + j) v)
       u.u_deltas;
-    let n = Coo.nnz coo in
+    let ci = coo.Coo.crd.(0) and cj = coo.Coo.crd.(1) in
     let vals = Array.copy coo.Coo.vals in
     (* Set an existing coordinate's first occurrence to the new value and
        zero the rest: duplicate base entries sum under sorted_dedup, so
        the stored total is exactly the delta's value. *)
-    let hit : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-    for k = 0 to n - 1 do
-      let key = (coo.Coo.coords.(k).(0), coo.Coo.coords.(k).(1)) in
+    let hit : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    for k = 0 to Coo.nnz coo - 1 do
+      let key = (ci.(k) * cols) + cj.(k) in
       match Hashtbl.find_opt value key with
       | None -> ()
       | Some v ->
@@ -501,27 +502,22 @@ module Update = struct
     done;
     (* Fresh coordinates append in first-occurrence delta order. *)
     let fresh = ref [] in
-    let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     Array.iter
       (fun (i, j, _) ->
-        let key = (i, j) in
+        let key = (i * cols) + j in
         if not (Hashtbl.mem hit key || Hashtbl.mem seen key) then begin
           Hashtbl.replace seen key ();
-          fresh := key :: !fresh
+          fresh := (i, j, Hashtbl.find value key) :: !fresh
         end)
       u.u_deltas;
-    let fresh = List.rev !fresh in
-    let coords =
-      Array.append
-        (Array.map Array.copy coo.Coo.coords)
-        (Array.of_list (List.map (fun (i, j) -> [| i; j |]) fresh))
-    in
-    let vals =
-      Array.append vals
-        (Array.of_list
-           (List.map (fun key -> Hashtbl.find value key) fresh))
-    in
-    Coo.create ~dims:(Array.copy coo.Coo.dims) ~coords ~vals
+    let fresh = Array.of_list (List.rev !fresh) in
+    let column f = Array.map f fresh in
+    Coo.create ~dims:(Array.copy coo.Coo.dims)
+      ~crd:
+        [| Array.append ci (column (fun (i, _, _) -> i));
+           Array.append cj (column (fun (_, j, _) -> j)) |]
+      ~vals:(Array.append vals (column (fun (_, _, v) -> v)))
 end
 
 (** A line of a mixed request/update stream. *)

@@ -17,7 +17,7 @@ let create ~latency ~gap = { latency; gap; chan_free = 0; lines = 0 }
 (** [fill t ~at] schedules one line transfer requested at cycle [at];
     returns the completion cycle. *)
 let fill t ~at =
-  let start = max at t.chan_free in
+  let start = if at > t.chan_free then at else t.chan_free in
   t.chan_free <- start + t.gap;
   t.lines <- t.lines + 1;
   start + t.latency

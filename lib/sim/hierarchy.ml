@@ -355,7 +355,8 @@ let load t ~core ~pc ~addr ~at =
           let at' =
             if Mshr.full cl.mshr then begin
               (* earliest is -1 only on an empty pool, impossible here. *)
-              let now = max at (Mshr.earliest cl.mshr) in
+              let earliest = Mshr.earliest cl.mshr in
+              let now = if at > earliest then at else earliest in
               Mshr.expire cl.mshr ~now;
               now
             end

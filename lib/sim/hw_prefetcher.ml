@@ -141,7 +141,8 @@ let l1_ipp ?(streams = 2) ?(lookahead = 16) () =
           let s = table.(idx) in
           s.s_used <- 0;
           let d = addr - s.s_last in
-          if d = s.s_stride && d <> 0 then s.s_conf <- min 4 (s.s_conf + 1)
+          if d = s.s_stride && d <> 0 then
+            s.s_conf <- (if s.s_conf < 4 then s.s_conf + 1 else 4)
           else begin
             s.s_stride <- d;
             s.s_conf <- 1
@@ -237,7 +238,7 @@ let streamer ~pf_id ~level ?(entries = 16) ?(degree = 4) () =
           s.t_used <- !stamp;
           let delta = line - s.t_last in
           if delta > 0 && delta <= 4 then begin
-            s.t_conf <- min 4 (s.t_conf + 1);
+            s.t_conf <- (if s.t_conf < 4 then s.t_conf + 1 else 4);
             s.t_last <- line
           end
           else if delta > 4 || delta < -4 then begin

@@ -1,146 +1,171 @@
 (* Coordinate-list (COO) exchange form.
 
-   The unsorted triple/tuple list every other representation is built from:
-   generators and Matrix Market readers produce it, [Storage.pack] consumes
-   it. Coordinates are stored as an [nnz][rank] array in dimension order. *)
+   The unsorted element list every other representation is built from:
+   generators and Matrix Market readers produce it, [Storage.pack]
+   consumes it. Coordinates are stored structure-of-arrays: one
+   nnz-length int array per dimension, so building, sorting and packing
+   never box a per-element tuple. *)
 
 type t = {
-  dims : int array;            (* tensor shape, one extent per dimension *)
-  coords : int array array;    (* coords.(k) is the rank-length tuple of nnz k *)
+  dims : int array;       (* tensor shape, one extent per dimension *)
+  crd : int array array;  (* crd.(d).(k): dimension-d coordinate of nnz k *)
   vals : float array;
 }
 
 let rank t = Array.length t.dims
 let nnz t = Array.length t.vals
 
-let create ~dims ~coords ~vals =
-  if Array.length coords <> Array.length vals then
-    invalid_arg "Coo.create: coords/vals length mismatch";
-  Array.iter
-    (fun c ->
-      if Array.length c <> Array.length dims then
-        invalid_arg "Coo.create: coordinate rank mismatch";
-      Array.iteri
-        (fun d x ->
-          if x < 0 || x >= dims.(d) then
+let create ~dims ~crd ~vals =
+  if Array.length crd <> Array.length dims then
+    invalid_arg "Coo.create: coordinate rank mismatch";
+  Array.iteri
+    (fun d c ->
+      if Array.length c <> Array.length vals then
+        invalid_arg "Coo.create: crd/vals length mismatch";
+      let ext = dims.(d) in
+      Array.iter
+        (fun x ->
+          if x < 0 || x >= ext then
             invalid_arg
               (Printf.sprintf "Coo.create: coordinate %d out of bound %d" x
-                 dims.(d)))
+                 ext))
         c)
-    coords;
-  { dims; coords; vals }
+    crd;
+  { dims; crd; vals }
 
 (** [of_triples ~rows ~cols triples] builds a matrix from (i, j, v) triples. *)
 let of_triples ~rows ~cols triples =
   let n = List.length triples in
-  let coords = Array.make n [||] and vals = Array.make n 0. in
+  let ci = Array.make n 0 and cj = Array.make n 0 and vals = Array.make n 0. in
   List.iteri
     (fun k (i, j, v) ->
-      coords.(k) <- [| i; j |];
+      ci.(k) <- i;
+      cj.(k) <- j;
       vals.(k) <- v)
     triples;
-  create ~dims:[| rows; cols |] ~coords ~vals
+  create ~dims:[| rows; cols |] ~crd:[| ci; cj |] ~vals
 
-(** Lexicographic comparison of coordinates under a permutation: position
-    [l] of the sort key is dimension [perm.(l)]. *)
-let compare_perm perm a b =
-  let rec go l =
-    if l = Array.length perm then 0
-    else
-      let c = compare a.(perm.(l)) b.(perm.(l)) in
-      if c <> 0 then c else go (l + 1)
-  in
-  go 0
-
-(* Number of bits needed to address [n] distinct indices. *)
-let index_bits n =
+(* Number of bits needed to write every value below [n]. *)
+let bits n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in
   go 0
 
-(* Whether every (permuted lexicographic key, element index) pair fits in
-   one tagged int: the key range is the product of the permuted extents,
-   shifted left by the index width. Returns the key range, or -1 on
-   overflow. *)
-let packed_key_range dims perm ~idx_bits =
-  let limit = max_int asr idx_bits in
-  let rec go l range =
-    if l = Array.length perm then range
-    else
-      let d = dims.(perm.(l)) in
-      if d > 0 && range > limit / d then -1 else go (l + 1) (range * d)
+(* [radix_sort keys vals extents] stably sorts elements [0, n)
+   lexicographically by [keys.(0)], then [keys.(1)], and so on, where
+   [keys.(l).(k)] lies in [0, extents.(l)), carrying [vals] along. It is
+   an LSD radix sort: the least significant level first, each level split
+   into equal-width counting passes, so the element order is key-major
+   and original-index-minor. The digit width grows with [n] from 8 to 11
+   bits and shrinks to what the extent needs, so the bucket array scales
+   with both. Each pass computes every element's destination once and
+   then moves each array through it with sequential reads. The input
+   arrays are reused as scratch; the sorted ones are returned. *)
+let radix_sort keys vals extents =
+  let n = Array.length vals in
+  (* [t]'s fields are public, so a record built without [create] may be
+     ragged; the unchecked accesses below need every key array full. *)
+  if Array.exists (fun kk -> Array.length kk <> n) keys then
+    invalid_arg "Coo.sorted_dedup: crd/vals length mismatch";
+  let wmax = max 8 (min 11 (bits n)) in
+  let plan =
+    Array.map
+      (fun ext ->
+        let b = bits ext in
+        let passes = (b + wmax - 1) / wmax in
+        (passes, if passes = 0 then 0 else (b + passes - 1) / passes))
+      extents
   in
-  go 0 1
+  let w_top = Array.fold_left (fun acc (_, w) -> max acc w) 0 plan in
+  let count = Array.make ((1 lsl w_top) + 1) 0 in
+  let dest = Array.make n 0 in
+  let spare = Array.map (fun _ -> Array.make n 0) keys in
+  let vals = ref vals and spare_vals = ref (Array.make n 0.) in
+  (* Unchecked accesses below: digits are masked below the bucket count,
+     and the bucket counts sum to [n], so [dest] is a permutation of
+     [0, n) whatever the keys hold. *)
+  let move (src : int array) dst =
+    for k = 0 to n - 1 do
+      Array.unsafe_set dst (Array.unsafe_get dest k) (Array.unsafe_get src k)
+    done
+  in
+  for l = Array.length keys - 1 downto 0 do
+    let passes, w = plan.(l) in
+    let mask = (1 lsl w) - 1 in
+    for p = 0 to passes - 1 do
+      let shift = p * w and kk = keys.(l) in
+      Array.fill count 0 (mask + 2) 0;
+      for k = 0 to n - 1 do
+        let d = ((Array.unsafe_get kk k lsr shift) land mask) + 1 in
+        Array.unsafe_set count d (Array.unsafe_get count d + 1)
+      done;
+      (* A digit every element shares leaves the order as it is. *)
+      let shared = ref false in
+      for d = 1 to mask + 1 do if count.(d) = n then shared := true done;
+      if not !shared then begin
+        for d = 1 to mask do count.(d) <- count.(d) + count.(d - 1) done;
+        for k = 0 to n - 1 do
+          let d = (Array.unsafe_get kk k lsr shift) land mask in
+          let at = Array.unsafe_get count d in
+          Array.unsafe_set count d (at + 1);
+          Array.unsafe_set dest k at
+        done;
+        Array.iteri
+          (fun j src ->
+            move src spare.(j);
+            keys.(j) <- spare.(j);
+            spare.(j) <- src)
+          keys;
+        let src = !vals and dst = !spare_vals in
+        for k = 0 to n - 1 do
+          Array.unsafe_set dst (Array.unsafe_get dest k)
+            (Array.unsafe_get src k)
+        done;
+        spare_vals := src;
+        vals := dst
+      end
+    done
+  done;
+  !vals
 
 (** [sorted_dedup ?perm t] returns a copy of [t] sorted lexicographically by
     the (optionally permuted) dimension order, with duplicate coordinates
-    summed — the canonical form sparsification's [sorted = true] expects. *)
+    summed — the canonical form sparsification's [sorted = true] expects.
+    The sort is stable, so each duplicate group is summed from [0.] in
+    original element order. *)
 let sorted_dedup ?perm t =
   let perm =
     match perm with Some p -> p | None -> Array.init (rank t) Fun.id
   in
   let n = nnz t in
-  let r = Array.length perm in
-  let idx_bits = index_bits n in
-  if packed_key_range t.dims perm ~idx_bits >= 0 then begin
-    (* Fast path: encode each element as key * 2^idx_bits + index and sort
-       plain ints. Sorting these is exactly the reference order below —
-       key-major, original-index-minor — so the output (including the
-       float summation order over duplicates) is bit-identical. *)
-    let keys = Array.make n 0 in
-    for k = 0 to n - 1 do
-      let c = t.coords.(k) in
-      let key = ref 0 in
-      for l = 0 to r - 1 do
-        key := (!key * t.dims.(perm.(l))) + c.(perm.(l))
-      done;
-      keys.(k) <- (!key lsl idx_bits) lor k
+  (* Level-ordered copies, sorted in place. *)
+  let keys = Array.map (fun d -> Array.copy t.crd.(d)) perm in
+  let vals =
+    radix_sort keys (Array.copy t.vals) (Array.map (fun d -> t.dims.(d)) perm)
+  in
+  let r = Array.length keys in
+  let same a b =
+    let l = ref (r - 1) in
+    while !l >= 0 && keys.(!l).(a) = keys.(!l).(b) do decr l done;
+    !l < 0
+  in
+  (* Compact in place: group [m] is written at or below its first
+     element, which later groups never read. *)
+  let m = ref 0 and k = ref 0 in
+  while !k < n do
+    let first = !k in
+    let v = ref 0. in
+    while !k < n && same first !k do
+      v := !v +. vals.(!k);
+      incr k
     done;
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    let mask = (1 lsl idx_bits) - 1 in
-    let out_c = Array.make n [||] and out_v = Array.make n 0. in
-    let m = ref 0 and k = ref 0 in
-    while !k < n do
-      let key = keys.(!k) asr idx_bits in
-      let first = keys.(!k) land mask in
-      let v = ref 0. in
-      while !k < n && keys.(!k) asr idx_bits = key do
-        v := !v +. t.vals.(keys.(!k) land mask);
-        incr k
-      done;
-      out_c.(!m) <- t.coords.(first);
-      out_v.(!m) <- !v;
-      incr m
-    done;
-    { dims = Array.copy t.dims;
-      coords = Array.sub out_c 0 !m;
-      vals = Array.sub out_v 0 !m }
-  end
-  else begin
-    (* Reference path: comparator over the coordinate tuples, index as the
-       tie-break so duplicate groups keep insertion order. *)
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun a b ->
-        let c = compare_perm perm t.coords.(a) t.coords.(b) in
-        if c <> 0 then c else compare a b)
-      order;
-    let out_c = ref [] and out_v = ref [] in
-    let m = ref 0 and k = ref 0 in
-    while !k < n do
-      let c = t.coords.(order.(!k)) in
-      let v = ref 0. in
-      while !k < n && compare_perm perm t.coords.(order.(!k)) c = 0 do
-        v := !v +. t.vals.(order.(!k));
-        incr k
-      done;
-      out_c := c :: !out_c;
-      out_v := !v :: !out_v;
-      incr m
-    done;
-    { dims = Array.copy t.dims;
-      coords = Array.of_list (List.rev !out_c);
-      vals = Array.of_list (List.rev !out_v) }
-  end
+    for l = 0 to r - 1 do keys.(l).(!m) <- keys.(l).(first) done;
+    vals.(!m) <- !v;
+    incr m
+  done;
+  let trim a = if !m = n then a else Array.sub a 0 !m in
+  let crd = Array.make r [||] in
+  Array.iteri (fun l d -> crd.(d) <- trim keys.(l)) perm;
+  { dims = Array.copy t.dims; crd; vals = trim vals }
 
 (** [to_dense t] materialises a row-major dense array. *)
 let to_dense t =
@@ -150,12 +175,11 @@ let to_dense t =
   for l = rank t - 2 downto 0 do
     strides.(l) <- strides.(l + 1) * t.dims.(l + 1)
   done;
-  Array.iteri
-    (fun k c ->
-      let off = ref 0 in
-      Array.iteri (fun l x -> off := !off + (x * strides.(l))) c;
-      d.(!off) <- d.(!off) +. t.vals.(k))
-    t.coords;
+  for k = 0 to nnz t - 1 do
+    let off = ref 0 in
+    Array.iteri (fun l c -> off := !off + (c.(k) * strides.(l))) t.crd;
+    d.(!off) <- d.(!off) +. t.vals.(k)
+  done;
   d
 
 (** Structural statistics used by workload selection (paper §4.2). *)
@@ -174,7 +198,7 @@ let matrix_stats t =
   if rank t <> 2 then invalid_arg "Coo.matrix_stats: not a matrix";
   let rows = t.dims.(0) and cols = t.dims.(1) in
   let per_row = Array.make rows 0 in
-  Array.iter (fun c -> per_row.(c.(0)) <- per_row.(c.(0)) + 1) t.coords;
+  Array.iter (fun i -> per_row.(i) <- per_row.(i) + 1) t.crd.(0);
   let mn = Array.fold_left min max_int per_row
   and mx = Array.fold_left max 0 per_row in
   let n = nnz t in

@@ -1,14 +1,16 @@
 (** Coordinate-list (COO) exchange form.
 
-    The unsorted tuple list every other representation is built from:
+    The unsorted element list every other representation is built from:
     generators and Matrix Market readers produce it, {!Storage.pack}
-    consumes it. *)
+    consumes it. Coordinates are structure-of-arrays — one nnz-length
+    int array per dimension — so no per-element tuple is ever boxed. *)
 
 type t = {
-  dims : int array;          (** tensor shape, one extent per dimension *)
-  coords : int array array;  (** [coords.(k)] is the coordinate tuple of
-                                 non-zero [k], in dimension order *)
-  vals : float array;        (** value of each stored entry *)
+  dims : int array;        (** tensor shape, one extent per dimension *)
+  crd : int array array;   (** [crd.(d).(k)] is the dimension-[d]
+                               coordinate of non-zero [k]; one array per
+                               dimension, each of length [nnz] *)
+  vals : float array;      (** value of each stored entry *)
 }
 
 (** [rank t] is the number of dimensions. *)
@@ -17,22 +19,27 @@ val rank : t -> int
 (** [nnz t] is the number of stored entries (duplicates included). *)
 val nnz : t -> int
 
-(** [create ~dims ~coords ~vals] validates shapes and bounds.
-    @raise Invalid_argument on rank or bound violations. *)
-val create : dims:int array -> coords:int array array -> vals:float array -> t
+(** [create ~dims ~crd ~vals] validates shapes and bounds: one [crd]
+    array per dimension, each as long as [vals], every coordinate within
+    its extent.
+    @raise Invalid_argument on rank, length or bound violations. *)
+val create : dims:int array -> crd:int array array -> vals:float array -> t
 
 (** [of_triples ~rows ~cols triples] builds a matrix from [(i, j, v)]
     triples. *)
 val of_triples : rows:int -> cols:int -> (int * int * float) list -> t
 
-(** [compare_perm perm a b] compares coordinate tuples lexicographically
-    under a dimension permutation: sort-key position [l] is dimension
-    [perm.(l)]. *)
-val compare_perm : int array -> int array -> int array -> int
-
 (** [sorted_dedup ?perm t] is a copy of [t] sorted lexicographically by the
     (optionally permuted) dimension order with duplicate coordinates summed
-    — the canonical form sparsification's [sorted = true] expects. *)
+    — the canonical form sparsification's [sorted = true] expects.
+    Sort-key position [l] is dimension [perm.(l)] (identity by default).
+
+    The sort is a stable LSD counting/radix sort, one or more counting
+    passes per level, least significant level first: O(nnz) per pass,
+    with bucket counts bounded by both the extent and nnz. Stability is
+    the contract: elements are ordered by key and then by original
+    index, so each duplicate group is summed from [0.] in original
+    element order, bit for bit. *)
 val sorted_dedup : ?perm:int array -> t -> t
 
 (** [to_dense t] materialises a row-major dense array of the full shape. *)

@@ -64,14 +64,25 @@ let of_lines (lines : string Seq.t) : Coo.t =
             with Failure _ -> fail "bad size line: %S" size_line)
          | _ -> fail "bad size line: %S" size_line
        in
-       let triples = ref [] and count = ref 0 in
+       (* Symmetry expansion at most doubles the declared entries; a
+         file with more lines than declared stops storing once full and
+         fails the count check below. *)
+       let cap = max 0 (if sym = General then nnz else 2 * nnz) in
+       let ci = Array.make cap 0 and cj = Array.make cap 0 in
+       let cv = Array.make cap 0. in
+       let stored = ref 0 and count = ref 0 in
        let seen = Hashtbl.create (max 16 nnz) in
        let add i j v =
          let key = (i * cols) + j in
          if Hashtbl.mem seen key then
            fail "duplicate entry (%d, %d)" (i + 1) (j + 1);
          Hashtbl.add seen key ();
-         triples := (i, j, v) :: !triples
+         if !stored < cap then begin
+           ci.(!stored) <- i;
+           cj.(!stored) <- j;
+           cv.(!stored) <- v;
+           incr stored
+         end
        in
        Seq.iter
          (fun line ->
@@ -96,7 +107,9 @@ let of_lines (lines : string Seq.t) : Coo.t =
          entries;
        if !count <> nnz then
          fail "expected %d entries, found %d" nnz !count;
-       Coo.of_triples ~rows ~cols (List.rev !triples))
+       let trim a = Array.sub a 0 !stored in
+       Coo.create ~dims:[| rows; cols |] ~crd:[| trim ci; trim cj |]
+         ~vals:(trim cv))
 
 let of_string s = of_lines (String.split_on_char '\n' s |> List.to_seq)
 
@@ -116,10 +129,11 @@ let to_string (coo : Coo.t) =
   Buffer.add_string buf
     (Printf.sprintf "%d %d %d\n" coo.dims.(0) coo.dims.(1) (Coo.nnz coo));
   Array.iteri
-    (fun k c ->
+    (fun k v ->
       Buffer.add_string buf
-        (Printf.sprintf "%d %d %.17g\n" (c.(0) + 1) (c.(1) + 1) coo.vals.(k)))
-    coo.coords;
+        (Printf.sprintf "%d %d %.17g\n" (coo.crd.(0).(k) + 1)
+           (coo.crd.(1).(k) + 1) v))
+    coo.vals;
   Buffer.contents buf
 
 let write path coo =

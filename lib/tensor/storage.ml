@@ -23,96 +23,79 @@ let nnz_of t = Array.length t.vals
 
 (* [pack_plain enc coo] sorts, deduplicates and serialises [coo].
 
-   The construction sweeps levels top-down over the element range,
-   maintaining the current segmentation: one (start, end) run of elements
-   per node of the previous level. *)
+   The construction sweeps levels top-down over the sorted element
+   range, maintaining the current segmentation: the nodes of the
+   previous level partition [0, n) into consecutive runs, node [p]
+   owning elements [bnd.(p), bnd.(p+1)). *)
 let pack_plain (enc : Encoding.t) (coo : Coo.t) : t =
   let sorted = Coo.sorted_dedup ~perm:enc.dim_to_lvl coo in
   let n = Coo.nnz sorted in
   let rank = Encoding.rank enc in
-  let key l k = sorted.coords.(k).(enc.dim_to_lvl.(l)) in
-  let segs = ref [| (0, n) |] in
+  (* One node per element: the segmentation below singleton and
+     non-unique levels. *)
+  let per_element () = Array.init (n + 1) Fun.id in
+  let bnd = ref [| 0; n |] in
   let lvls = Array.make rank (Ldense { lsize = 0 }) in
   for l = 0 to rank - 1 do
-    let parents = !segs in
-    let np = Array.length parents in
+    let key = sorted.crd.(enc.dim_to_lvl.(l)) in
+    let parents = !bnd in
+    let np = Array.length parents - 1 in
     (match enc.levels.(l) with
      | Encoding.Dense ->
        let lsize = coo.dims.(enc.dim_to_lvl.(l)) in
-       let out = Array.make (np * lsize) (0, 0) in
-       Array.iteri
-         (fun p (s, e) ->
-           let i = ref s in
-           for v = 0 to lsize - 1 do
-             let s' = !i in
-             while !i < e && key l !i = v do incr i done;
-             out.((p * lsize) + v) <- (s', !i)
-           done;
-           assert (!i = e))
-         parents;
+       let out = Array.make ((np * lsize) + 1) 0 in
+       for p = 0 to np - 1 do
+         let i = ref parents.(p) and e = parents.(p + 1) in
+         for v = 0 to lsize - 1 do
+           while !i < e && key.(!i) = v do incr i done;
+           out.((p * lsize) + v + 1) <- !i
+         done;
+         assert (!i = e)
+       done;
        lvls.(l) <- Ldense { lsize };
-       segs := out
+       bnd := out
      | Encoding.Compressed { unique = true } ->
        (* At most one node per element: build into n-sized scratch arrays
-          and trim, rather than consing per node. *)
+          and trim. *)
        let pos = Array.make (np + 1) 0 in
        let crd = Array.make n 0 in
-       let out = Array.make n (0, 0) in
+       let out = Array.make (n + 1) 0 in
        let count = ref 0 in
-       Array.iteri
-         (fun p (s, e) ->
-           let i = ref s in
-           while !i < e do
-             let v = key l !i in
-             let s' = !i in
-             while !i < e && key l !i = v do incr i done;
-             crd.(!count) <- v;
-             out.(!count) <- (s', !i);
-             incr count
-           done;
-           pos.(p + 1) <- !count)
-         parents;
-       lvls.(l) <-
-         Lcompressed { pos; crd = Array.sub crd 0 !count; unique = true };
-       segs := Array.sub out 0 !count
+       for p = 0 to np - 1 do
+         let i = ref parents.(p) and e = parents.(p + 1) in
+         while !i < e do
+           let v = key.(!i) in
+           while !i < e && key.(!i) = v do incr i done;
+           crd.(!count) <- v;
+           incr count;
+           out.(!count) <- !i
+         done;
+         pos.(p + 1) <- !count
+       done;
+       let trim a len = if len = Array.length a then a else Array.sub a 0 len in
+       lvls.(l) <- Lcompressed { pos; crd = trim crd !count; unique = true };
+       bnd := trim out (!count + 1)
      | Encoding.Compressed { unique = false } ->
        (* One crd entry and one child per element: duplicate parent
-          coordinates are retained, as in COO's top level. *)
-       let pos = Array.make (np + 1) 0 in
-       let crd = Array.make n 0 in
-       let out = Array.make n (0, 0) in
-       Array.iteri
-         (fun p (s, e) ->
-           for i = s to e - 1 do
-             crd.(i) <- key l i;
-             out.(i) <- (i, i + 1)
-           done;
-           pos.(p + 1) <- e)
-         parents;
-       lvls.(l) <- Lcompressed { pos; crd; unique = false };
-       segs := out
+          coordinates are retained, as in COO's top level. A parent's
+          positions are its element run. *)
+       lvls.(l) <-
+         Lcompressed
+           { pos = parents; crd = Array.copy key; unique = false };
+       bnd := per_element ()
      | Encoding.Singleton ->
-       let crd = Array.make n 0 in
-       let out = Array.make n (0, 0) in
-       Array.iteri
-         (fun _ (s, e) ->
-           for i = s to e - 1 do
-             crd.(i) <- key l i;
-             out.(i) <- (i, i + 1)
-           done)
-         parents;
-       lvls.(l) <- Lsingleton { crd };
-       segs := out)
+       lvls.(l) <- Lsingleton { crd = Array.copy key };
+       bnd := per_element ())
   done;
   (* Leaf values: one per leaf node; dense leaf levels imply explicit
      zeros for absent coordinates. *)
-  let leaves = !segs in
-  let vals = Array.make (Array.length leaves) 0. in
-  Array.iteri
-    (fun node (s, e) ->
-      assert (e - s <= 1);
-      if e > s then vals.(node) <- sorted.vals.(s))
-    leaves;
+  let leaves = !bnd in
+  let vals = Array.make (Array.length leaves - 1) 0. in
+  for node = 0 to Array.length vals - 1 do
+    let s = leaves.(node) and e = leaves.(node + 1) in
+    assert (e - s <= 1);
+    if e > s then vals.(node) <- sorted.vals.(s)
+  done;
   { enc; dims = Array.copy coo.dims; lvls; vals }
 
 (* [pack_blocked enc ~bh ~bw coo] serialises a rank-2 tensor into block
@@ -121,37 +104,44 @@ let pack_plain (enc : Encoding.t) (coo : Coo.t) : t =
    stored block expands to bh*bw row-major values with explicit zeros
    for the absent coordinates. Edge blocks of non-divisible dimensions
    are zero-padded here and clamped by consumers ({!iter}, the emitter's
-   blocked micro-loops). *)
+   blocked micro-loops).
+
+   Elements are sorted and deduplicated by (block row, block column,
+   offset in block) — a bijection of (i, j), so the duplicate groups and
+   their sums are those of a row-major sort — which lists the stored
+   blocks in order, each as one run. *)
 let pack_blocked (enc : Encoding.t) ~bh ~bw (coo : Coo.t) : t =
-  let sorted = Coo.sorted_dedup coo in
-  let n = Coo.nnz sorted in
-  let nbr = (coo.dims.(0) + bh - 1) / bh in
-  let tbl = Hashtbl.create (max 16 n) in
-  for k = 0 to n - 1 do
-    let key = (sorted.coords.(k).(0) / bh, sorted.coords.(k).(1) / bw) in
-    if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key 0
-  done;
-  let blocks =
-    Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-    |> List.sort compare |> Array.of_list
+  let ci = coo.crd.(0) and cj = coo.crd.(1) in
+  let nbr = (coo.dims.(0) + bh - 1) / bh
+  and nbc = (coo.dims.(1) + bw - 1) / bw
+  and be = bh * bw in
+  let sorted =
+    Coo.sorted_dedup
+      { Coo.dims = [| nbr; nbc; be |];
+        crd =
+          [| Array.map (fun i -> i / bh) ci;
+             Array.map (fun j -> j / bw) cj;
+             Array.mapi (fun k i -> ((i mod bh) * bw) + (cj.(k) mod bw)) ci |];
+        vals = coo.vals }
   in
-  Array.iteri (fun idx k -> Hashtbl.replace tbl k idx) blocks;
-  let nb = Array.length blocks in
+  let n = Coo.nnz sorted in
+  let ib = sorted.crd.(0) and jb = sorted.crd.(1) and off = sorted.crd.(2) in
+  let starts k = k = 0 || ib.(k) <> ib.(k - 1) || jb.(k) <> jb.(k - 1) in
+  let nb = ref 0 in
+  for k = 0 to n - 1 do if starts k then incr nb done;
   let pos = Array.make (nbr + 1) 0 in
-  let crd = Array.make nb 0 in
-  Array.iteri
-    (fun idx (ib, jb) ->
-      crd.(idx) <- jb;
-      pos.(ib + 1) <- pos.(ib + 1) + 1)
-    blocks;
-  for r = 1 to nbr do pos.(r) <- pos.(r) + pos.(r - 1) done;
-  let be = bh * bw in
-  let vals = Array.make (nb * be) 0. in
+  let crd = Array.make !nb 0 in
+  let vals = Array.make (!nb * be) 0. in
+  let b = ref (-1) in
   for k = 0 to n - 1 do
-    let i = sorted.coords.(k).(0) and j = sorted.coords.(k).(1) in
-    let idx = Hashtbl.find tbl (i / bh, j / bw) in
-    vals.((idx * be) + ((i mod bh) * bw) + (j mod bw)) <- sorted.vals.(k)
+    if starts k then begin
+      incr b;
+      crd.(!b) <- jb.(k);
+      pos.(ib.(k) + 1) <- pos.(ib.(k) + 1) + 1
+    end;
+    vals.((!b * be) + off.(k)) <- sorted.vals.(k)
   done;
+  for r = 1 to nbr do pos.(r) <- pos.(r) + pos.(r - 1) done;
   { enc; dims = Array.copy coo.dims;
     lvls =
       [| Ldense { lsize = nbr }; Lcompressed { pos; crd; unique = true } |];
@@ -164,34 +154,11 @@ let pack (enc : Encoding.t) (coo : Coo.t) : t =
   | None -> pack_plain enc coo
   | Some (bh, bw) -> pack_blocked enc ~bh ~bw coo
 
-let iter_plain f (t : t) =
+(* [iter_shared f t] is {!iter} passing one coordinate buffer that is
+   overwritten between calls. *)
+let iter_shared f (t : t) =
   let rank = Encoding.rank t.enc in
   let coord = Array.make rank 0 in
-  let rec go l node =
-    if l = rank then f (Array.copy coord) t.vals.(node)
-    else
-      let dim = t.enc.dim_to_lvl.(l) in
-      match t.lvls.(l) with
-      | Ldense { lsize } ->
-        for v = 0 to lsize - 1 do
-          coord.(dim) <- v;
-          go (l + 1) ((node * lsize) + v)
-        done
-      | Lcompressed { pos; crd; _ } ->
-        for p = pos.(node) to pos.(node + 1) - 1 do
-          coord.(dim) <- crd.(p);
-          go (l + 1) p
-        done
-      | Lsingleton { crd } ->
-        coord.(dim) <- crd.(node);
-        go (l + 1) node
-  in
-  go 0 0
-
-(** [iter f t] visits every stored leaf (including explicit zeros of dense
-    leaf levels) with its dimension-order coordinates. Blocked storage
-    visits every in-bounds cell of every stored block. *)
-let iter f (t : t) =
   match t.enc.Encoding.block with
   | Some (bh, bw) ->
     (match t.lvls with
@@ -205,29 +172,61 @@ let iter f (t : t) =
              if i < t.dims.(0) then
                for c = 0 to bw - 1 do
                  let j = (jb * bw) + c in
-                 if j < t.dims.(1) then
-                   f [| i; j |] t.vals.((p * be) + (r * bw) + c)
+                 if j < t.dims.(1) then begin
+                   coord.(0) <- i;
+                   coord.(1) <- j;
+                   f coord t.vals.((p * be) + (r * bw) + c)
+                 end
                done
            done
          done
        done
      | _ -> invalid_arg "Storage.iter: malformed blocked storage")
-  | None -> iter_plain f t
+  | None ->
+    let rec go l node =
+      if l = rank then f coord t.vals.(node)
+      else
+        let dim = t.enc.dim_to_lvl.(l) in
+        match t.lvls.(l) with
+        | Ldense { lsize } ->
+          for v = 0 to lsize - 1 do
+            coord.(dim) <- v;
+            go (l + 1) ((node * lsize) + v)
+          done
+        | Lcompressed { pos; crd; _ } ->
+          for p = pos.(node) to pos.(node + 1) - 1 do
+            coord.(dim) <- crd.(p);
+            go (l + 1) p
+          done
+        | Lsingleton { crd } ->
+          coord.(dim) <- crd.(node);
+          go (l + 1) node
+    in
+    go 0 0
 
-(** [to_coo t] recovers the COO form, dropping explicit zeros. *)
+(** [iter f t] visits every stored leaf (including explicit zeros of dense
+    leaf levels) with its dimension-order coordinates. Blocked storage
+    visits every in-bounds cell of every stored block. *)
+let iter f t = iter_shared (fun c v -> f (Array.copy c) v) t
+
+(** [to_coo t] recovers the COO form, dropping explicit zeros: one walk
+    counts the non-zeros, a second writes them into the per-dimension
+    coordinate arrays. *)
 let to_coo (t : t) : Coo.t =
-  let cs = ref [] and vs = ref [] and n = ref 0 in
-  iter
+  let n = ref 0 in
+  iter_shared (fun _ v -> if v <> 0. then incr n) t;
+  let crd = Array.map (fun _ -> Array.make !n 0) t.dims in
+  let vals = Array.make !n 0. in
+  let k = ref 0 in
+  iter_shared
     (fun c v ->
       if v <> 0. then begin
-        cs := c :: !cs;
-        vs := v :: !vs;
-        incr n
+        Array.iteri (fun d x -> crd.(d).(!k) <- x) c;
+        vals.(!k) <- v;
+        incr k
       end)
     t;
-  { Coo.dims = Array.copy t.dims;
-    coords = Array.of_list (List.rev !cs);
-    vals = Array.of_list (List.rev !vs) }
+  { Coo.dims = Array.copy t.dims; crd; vals }
 
 (** [convert enc t] re-packs [t] under a different encoding. *)
 let convert enc t = pack enc (to_coo t)

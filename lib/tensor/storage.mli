@@ -22,6 +22,13 @@ type t = {
 val nnz_of : t -> int
 
 (** [pack enc coo] sorts, deduplicates and serialises [coo] under [enc].
+
+    Linear in nnz: {!Coo.sorted_dedup}'s radix sort in the encoding's
+    level order, then one top-down sweep per level over the sorted
+    elements. Blocked encodings sort by (block row, block column, offset
+    in block), so stored blocks come out in order without a hash table.
+    Duplicates are summed in original element order, so the result is
+    bit-identical to a comparator-sorted pack.
     @raise Invalid_argument on rank mismatch. *)
 val pack : Encoding.t -> Coo.t -> t
 
@@ -29,7 +36,8 @@ val pack : Encoding.t -> Coo.t -> t
     coordinates. *)
 val iter : (int array -> float -> unit) -> t -> unit
 
-(** [to_coo t] recovers the COO form, dropping explicit zeros. *)
+(** [to_coo t] recovers the COO form, dropping explicit zeros, in
+    storage order (sorted, no duplicates). *)
 val to_coo : t -> Coo.t
 
 (** [convert enc t] re-packs [t] under a different encoding. *)

@@ -8,28 +8,50 @@
 
 module Coo = Asap_tensor.Coo
 
-(* Dedup/sort once at the end; duplicate coordinates are summed by
-   [Coo.sorted_dedup] inside [Storage.pack], so generators may emit
-   collisions freely. *)
-let of_rowcols ~rows ~cols entries rng =
-  let n = List.length entries in
-  let coords = Array.make n [||] and vals = Array.make n 0. in
-  List.iteri
-    (fun k (i, j) ->
-      coords.(k) <- [| i; j |];
-      vals.(k) <- 0.5 +. Rng.float rng)
-    entries;
-  Coo.create ~dims:[| rows; cols |] ~coords ~vals
+(* Coordinates in generation order, in two int arrays that double when
+   full. *)
+type entries = { mutable ei : int array; mutable ej : int array;
+                 mutable len : int }
+
+let entries () = { ei = Array.make 1024 0; ej = Array.make 1024 0; len = 0 }
+
+let push e i j =
+  if e.len = Array.length e.ei then begin
+    let grow a =
+      let b = Array.make (2 * e.len) 0 in
+      Array.blit a 0 b 0 e.len;
+      b
+    in
+    e.ei <- grow e.ei;
+    e.ej <- grow e.ej
+  end;
+  e.ei.(e.len) <- i;
+  e.ej.(e.len) <- j;
+  e.len <- e.len + 1
+
+(* Elements are stored in reverse generation order, and values are drawn
+   after all coordinates, in element order: every seeded matrix keeps the
+   elements and RNG draws it has always had. Dedup/sort happens once at
+   the end; duplicate coordinates are summed by [Coo.sorted_dedup] inside
+   [Storage.pack], so generators may emit collisions freely. *)
+let of_rowcols ~rows ~cols e rng =
+  let n = e.len in
+  let rev a = Array.init n (fun k -> a.(n - 1 - k)) in
+  let vals = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+  Coo.create ~dims:[| rows; cols |] ~crd:[| rev e.ei; rev e.ej |] ~vals
 
 (** Uniform random matrix: every non-zero position independent — the worst
     case for locality (GAP-urand style). *)
 let uniform ~seed ~rows ~cols ~nnz () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries () in
   for _ = 1 to nnz do
-    entries := (Rng.int rng rows, Rng.int rng cols) :: !entries
+    (* The column is drawn before the row. *)
+    let j = Rng.int rng cols in
+    let i = Rng.int rng rows in
+    push e i j
   done;
-  of_rowcols ~rows ~cols !entries rng
+  of_rowcols ~rows ~cols e rng
 
 (** Power-law graph adjacency (SNAP/LAW/GAP style): row degrees follow a
     bounded Pareto with exponent [alpha]; a fraction [locality] of the
@@ -39,7 +61,7 @@ let power_law ~seed ~rows ~cols ~avg_deg ~alpha ?(locality = 0.0)
     ?(max_deg_frac = 0.01) () =
   let rng = Rng.create seed in
   let x_max = max 4 (int_of_float (float_of_int cols *. max_deg_frac)) in
-  let entries = ref [] in
+  let e = entries () in
   (* Scale sampled degrees so the expected average matches avg_deg. *)
   let sample () = Rng.power_law rng ~alpha ~x_min:1 ~x_max in
   let probe = Array.init 1024 (fun _ -> sample ()) in
@@ -62,53 +84,53 @@ let power_law ~seed ~rows ~cols ~avg_deg ~alpha ?(locality = 0.0)
         end
         else Rng.int rng cols
       in
-      entries := (i, j) :: !entries
+      push e i j
     done
   done;
-  of_rowcols ~rows ~cols !entries rng
+  of_rowcols ~rows ~cols e rng
 
 (** Banded matrix: [band] diagonals around the main one — structured,
     cache-friendly (the "Others" bucket). *)
 let banded ~seed ~n ~band () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries () in
   for i = 0 to n - 1 do
     for o = -band to band do
       let j = i + o in
-      if j >= 0 && j < n then entries := (i, j) :: !entries
+      if j >= 0 && j < n then push e i j
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_rowcols ~rows:n ~cols:n e rng
 
 (** 5-point 2-D stencil on a [side] x [side] grid (PDE discretisation). *)
 let stencil_2d ~seed ~side () =
   let rng = Rng.create seed in
   let n = side * side in
   let idx x y = (x * side) + y in
-  let entries = ref [] in
+  let e = entries () in
   for x = 0 to side - 1 do
     for y = 0 to side - 1 do
       let i = idx x y in
-      entries := (i, i) :: !entries;
-      if x > 0 then entries := (i, idx (x - 1) y) :: !entries;
-      if x < side - 1 then entries := (i, idx (x + 1) y) :: !entries;
-      if y > 0 then entries := (i, idx x (y - 1)) :: !entries;
-      if y < side - 1 then entries := (i, idx x (y + 1)) :: !entries
+      push e i i;
+      if x > 0 then push e i (idx (x - 1) y);
+      if x < side - 1 then push e i (idx (x + 1) y);
+      if y > 0 then push e i (idx x (y - 1));
+      if y < side - 1 then push e i (idx x (y + 1))
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_rowcols ~rows:n ~cols:n e rng
 
 (** 7-point 3-D stencil on a [side]^3 grid. *)
 let stencil_3d ~seed ~side () =
   let rng = Rng.create seed in
   let n = side * side * side in
   let idx x y z = (((x * side) + y) * side) + z in
-  let entries = ref [] in
+  let e = entries () in
   for x = 0 to side - 1 do
     for y = 0 to side - 1 do
       for z = 0 to side - 1 do
         let i = idx x y z in
-        let push j = entries := (i, j) :: !entries in
+        let push j = push e i j in
         push i;
         if x > 0 then push (idx (x - 1) y z);
         if x < side - 1 then push (idx (x + 1) y z);
@@ -119,30 +141,30 @@ let stencil_3d ~seed ~side () =
       done
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_rowcols ~rows:n ~cols:n e rng
 
 (** FEM-like block-banded matrix: dense [blk] x [blk] element blocks along
     a band (Janna-collection style: large rows, strong locality). *)
 let fem_blocks ~seed ~nblocks ~blk ~reach () =
   let rng = Rng.create seed in
   let n = nblocks * blk in
-  let entries = ref [] in
+  let e = entries () in
   for b = 0 to nblocks - 1 do
     for nb = max 0 (b - reach) to min (nblocks - 1) (b + reach) do
       for r = 0 to blk - 1 do
         for c = 0 to blk - 1 do
-          entries := ((b * blk) + r, (nb * blk) + c) :: !entries
+          push e ((b * blk) + r) ((nb * blk) + c)
         done
       done
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_rowcols ~rows:n ~cols:n e rng
 
 (** Road-network-like graph: constant small degree, strongly local columns
     with occasional long-range links (DIMACS10 street networks). *)
 let road ~seed ~n ~deg () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries () in
   for i = 0 to n - 1 do
     for _ = 1 to deg do
       let j =
@@ -153,37 +175,40 @@ let road ~seed ~n ~deg () =
         end
         else Rng.int rng n
       in
-      entries := (i, j) :: !entries
+      push e i j
     done
   done;
-  of_rowcols ~rows:n ~cols:n !entries rng
+  of_rowcols ~rows:n ~cols:n e rng
 
 (** Uniform random rank-3 tensor (for CSF / tensor-times-vector runs). *)
 let tensor3 ~seed ~dims ~nnz () =
   if Array.length dims <> 3 then invalid_arg "Generate.tensor3: need 3 dims";
   let rng = Rng.create seed in
-  let coords = Array.make nnz [||] and vals = Array.make nnz 0. in
+  let crd = Array.init 3 (fun _ -> Array.make nnz 0) in
+  let vals = Array.make nnz 0. in
   for k = 0 to nnz - 1 do
-    coords.(k) <-
-      [| Rng.int rng dims.(0); Rng.int rng dims.(1); Rng.int rng dims.(2) |];
+    (* Per element, the last dimension is drawn first. *)
+    for d = 2 downto 0 do crd.(d).(k) <- Rng.int rng dims.(d) done;
     vals.(k) <- 0.5 +. Rng.float rng
   done;
-  Coo.create ~dims ~coords ~vals
+  Coo.create ~dims ~crd ~vals
 
 (** Heavy-tailed trace matrix (MAWI packet traces): a handful of huge rows
     (backbone hosts) over a sea of tiny ones. *)
 let heavy_tail ~seed ~rows ~cols ~nnz ~hubs () =
   let rng = Rng.create seed in
-  let entries = ref [] in
+  let e = entries () in
   let hub_nnz = nnz / 2 in
   for _ = 1 to hub_nnz do
     let i = Rng.int rng hubs in
-    entries := (i, Rng.int rng cols) :: !entries
+    push e i (Rng.int rng cols)
   done;
   for _ = 1 to nnz - hub_nnz do
-    entries := (hubs + Rng.int rng (rows - hubs), Rng.int rng cols) :: !entries
+    let j = Rng.int rng cols in
+    let i = hubs + Rng.int rng (rows - hubs) in
+    push e i j
   done;
-  of_rowcols ~rows ~cols !entries rng
+  of_rowcols ~rows ~cols e rng
 
 (* --- Spec-string constructor ---------------------------------------- *)
 

@@ -392,11 +392,8 @@ let test_generator_shape_coverage () =
     (has (fun c ->
          let rows = c.Coo.dims.(0) and cols = c.Coo.dims.(1) in
          let rseen = Array.make rows false and cseen = Array.make cols false in
-         Array.iter
-           (fun co ->
-             rseen.(co.(0)) <- true;
-             cseen.(co.(1)) <- true)
-           c.Coo.coords;
+         Array.iter (fun i -> rseen.(i) <- true) c.Coo.crd.(0);
+         Array.iter (fun j -> cseen.(j) <- true) c.Coo.crd.(1);
          Array.exists not rseen || Array.exists not cseen));
   check "pool nnz spread spans sparse to dense-ish" true
     (let densities =

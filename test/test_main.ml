@@ -4,6 +4,7 @@ let () =
   Alcotest.run "asap"
     [ ("ir", Test_ir.suite);
       ("tensor", Test_tensor.suite);
+      ("pack", Test_pack.suite);
       ("lang", Test_lang.suite);
       ("sparsifier", Test_sparsifier.suite);
       ("prefetch", Test_prefetch.suite);

@@ -15,7 +15,7 @@ let machine = Machine.gracemont_scaled ()
 
 let vec ~n entries =
   Coo.create ~dims:[| n |]
-    ~coords:(Array.of_list (List.map (fun (i, _) -> [| i |]) entries))
+    ~crd:[| Array.of_list (List.map fst entries) |]
     ~vals:(Array.of_list (List.map snd entries))
 
 let test_structure () =

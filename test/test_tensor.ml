@@ -10,6 +10,9 @@ let check_int = Alcotest.(check int)
 let fig2 () =
   Coo.of_triples ~rows:3 ~cols:3 [ (0, 0, 1.); (0, 2, 2.); (2, 2, 3.) ]
 
+(* Element [k]'s coordinate tuple, in dimension order. *)
+let coord (c : Coo.t) k = Array.map (fun d -> d.(k)) c.Coo.crd
+
 let all_encodings () =
   [ Encoding.coo (); Encoding.csr (); Encoding.csc (); Encoding.dcsr ();
     Encoding.csf 2 ]
@@ -22,6 +25,16 @@ let test_coo_create_bounds () =
      Alcotest.fail "accepted out-of-bound coordinate"
    with Invalid_argument _ -> ())
 
+let test_coo_ragged () =
+  (* A record built without [create]: the sort must refuse it, not read
+     past the shorter coordinate array. *)
+  let c = { Coo.dims = [| 4; 4 |]; crd = [| [| 0; 1 |]; [| 0 |] |];
+            vals = [| 1.; 2. |] } in
+  try
+    ignore (Coo.sorted_dedup c);
+    Alcotest.fail "sorted a ragged COO"
+  with Invalid_argument _ -> ()
+
 let test_coo_sorted_dedup () =
   let c =
     Coo.of_triples ~rows:3 ~cols:3
@@ -33,16 +46,16 @@ let test_coo_sorted_dedup () =
   check "sum" true (d.((2 * 3) + 2) = 3.);
   (* Sorted row-major. *)
   check "sorted" true
-    (s.Coo.coords.(0) = [| 0; 0 |] && s.Coo.coords.(2) = [| 2; 2 |])
+    (coord s 0 = [| 0; 0 |] && coord s 2 = [| 2; 2 |])
 
 let test_coo_sorted_dedup_perm () =
   let c = fig2 () in
   let s = Coo.sorted_dedup ~perm:[| 1; 0 |] c in
   (* Column-major order: (0,0), (0,2) ... by column first: (0,0), (2,2)?
      columns: 0 -> (0,0); 2 -> (0,2), (2,2). *)
-  check "first is col 0" true (s.Coo.coords.(0) = [| 0; 0 |]);
-  check "second is (0,2)" true (s.Coo.coords.(1) = [| 0; 2 |]);
-  check "third is (2,2)" true (s.Coo.coords.(2) = [| 2; 2 |])
+  check "first is col 0" true (coord s 0 = [| 0; 0 |]);
+  check "second is (0,2)" true (coord s 1 = [| 0; 2 |]);
+  check "third is (2,2)" true (coord s 2 = [| 2; 2 |])
 
 let test_coo_stats () =
   let st = Coo.matrix_stats (fig2 ()) in
@@ -145,7 +158,7 @@ let test_storage_convert () =
     (Coo.to_dense (Storage.to_coo st'))
 
 let test_storage_empty () =
-  let c = Coo.create ~dims:[| 4; 4 |] ~coords:[||] ~vals:[||] in
+  let c = Coo.create ~dims:[| 4; 4 |] ~crd:[| [||]; [||] |] ~vals:[||] in
   List.iter
     (fun enc ->
       let st = Storage.pack enc c in
@@ -162,7 +175,7 @@ let test_storage_csf_rank3 () =
   (* A 2x2x3 tensor with nnz at (0,0,1), (0,1,2), (1,1,0). *)
   let c =
     Coo.create ~dims:[| 2; 2; 3 |]
-      ~coords:[| [| 0; 0; 1 |]; [| 0; 1; 2 |]; [| 1; 1; 0 |] |]
+      ~crd:[| [| 0; 0; 1 |]; [| 0; 1; 1 |]; [| 1; 2; 0 |] |]
       ~vals:[| 1.; 2.; 3. |]
   in
   let st = Storage.pack (Encoding.csf 3) c in
@@ -373,6 +386,7 @@ let test_dense () =
 let suite =
   [ Alcotest.test_case "coo bounds" `Quick test_coo_create_bounds;
     Alcotest.test_case "coo sorted_dedup" `Quick test_coo_sorted_dedup;
+    Alcotest.test_case "coo ragged rejected" `Quick test_coo_ragged;
     Alcotest.test_case "coo dedup perm" `Quick test_coo_sorted_dedup_perm;
     Alcotest.test_case "coo stats" `Quick test_coo_stats;
     Alcotest.test_case "encoding validate" `Quick test_encoding_validate;
