@@ -24,6 +24,7 @@ module Exec = Asap_sim.Exec
 module Pipeline = Asap_core.Pipeline
 module Driver = Asap_core.Driver
 module Select = Asap_model.Select
+module Cost_model = Asap_model.Cost_model
 module Generate = Asap_workloads.Generate
 module Printer = Asap_ir.Printer
 module Parse = Asap_ir.Parse
@@ -156,6 +157,8 @@ let min_kernel_ratio = 1.0
 let min_unroll_ratio = 1.0
 let min_spec_ratio = 1.15
 let min_wall_geomean = 1.0
+let min_model_within = 0.9     (* share of model picks within tolerance *)
+let model_cycle_tolerance = 1.05
 let max_err = 1e-9
 let max_regress = 1.10
 
@@ -368,7 +371,10 @@ let tune_specs =
      cold run) under each mode. Reported, NOT gated: packing and the cold
      execution dominate both modes, so the end-to-end ratio stays small
      even when decisions get orders of magnitude cheaper;
-   - virtual decision cost and hybrid-mode model-vs-sweep agreement. *)
+   - virtual decision cost and hybrid-mode model-vs-sweep agreement;
+   - the model's accuracy on full runs: its pick's cycles within 5% of
+     the sweep pick's on at least 90% of the matrices, and every sweep
+     rollback matched. *)
 let tune () =
   let row = row "tune" in
   let n = 120 in
@@ -405,6 +411,25 @@ let tune () =
   in
   let delta d = abs (Option.value ~default:0 d.Select.d_delta_cycles) in
   let delta = List.fold_left (fun acc d -> acc + delta d) 0 hybrid in
+  let full_cycles (coo, st) variant =
+    Exec.Report.cycles
+      (Driver.run (Driver.Cfg.make ~st ~machine ~variant ()) (Driver.Spmv enc)
+         coo).Driver.report
+  in
+  (* (model pick within tolerance, sweep rollback the model missed) *)
+  let full_run m d =
+    let sweep = d.Select.d_chosen in
+    let model = (Option.get d.Select.d_model).Cost_model.p_variant in
+    let sc = full_cycles m sweep in
+    let mc =
+      if Cost_model.same_choice sweep model then sc else full_cycles m model
+    in
+    ( float_of_int mc <= model_cycle_tolerance *. float_of_int sc,
+      sweep = Pipeline.Baseline && model <> Pipeline.Baseline )
+  in
+  let full = List.map2 full_run mats hybrid in
+  let within = List.length (List.filter fst full) in
+  let missed = List.length (List.filter snd full) in
   let replay mode =
     let profiles =
       List.map (fun spec -> Mix.profile ~variant:`Tuned ~tune_mode:mode spec)
@@ -434,7 +459,11 @@ let tune () =
     row "agreement" "matrices" "count" Virtual (count nmat);
     row "agreement" "agree" "count" Virtual (count agree);
     row "agreement" "rate" "fraction" Virtual (count agree /. count nmat);
-    row "agreement" "abs_delta_cycles" "cycles" Virtual (count delta) ]
+    row "agreement" "abs_delta_cycles" "cycles" Virtual (count delta);
+    row "model_full_run" "within_5pct" "fraction" Virtual
+      (count within /. count nmat) ?gate:(ge min_model_within);
+    row "model_full_run" "missed_rollbacks" "count" Virtual (count missed)
+      ?gate:(equals 0.) ]
 
 (* --- fleet: sharded fleet vs single shard ---------------------------- *)
 

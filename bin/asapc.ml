@@ -92,9 +92,8 @@ let engine_conv =
 let engine_arg =
   Arg.(value & opt engine_conv Exec.default_engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: bytecode (flat bytecode with \
-                 superinstruction fusion, default) or interp \
-                 (tree-walking reference). Both are cycle-exact.")
+           ~doc:"Execution engine: bytecode (flat bytecode, default) or \
+                 interp (tree-walking reference). Both are cycle-exact.")
 
 let tune_mode_conv =
   let parse s =

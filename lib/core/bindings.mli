@@ -6,13 +6,6 @@ module Emitter = Asap_sparsifier.Emitter
 module Runtime = Asap_sim.Runtime
 open Asap_ir
 
-(** [float_to_bytes a] converts 0/1-valued floats to the i8 buffer of a
-    binary (pattern) matrix. *)
-val float_to_bytes : float array -> Bytes.t
-
-(** [vals_rbuf ~binary vals] is the runtime buffer for sparse values. *)
-val vals_rbuf : binary:bool -> float array -> Runtime.rbuf
-
 (** [storage_bufs c st ~binary ~dense] resolves every buffer parameter of
     [c]: pos/crd/vals from [st], dense operands from the association list
     (operand name -> runtime buffer).

@@ -20,8 +20,6 @@
    shared state (e.g. a Hashtbl cache); do any memoisation on the calling
    domain after [map] returns. *)
 
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
-
 type pool = {
   id : int;                          (* for nested-call detection *)
   lock : Mutex.t;
@@ -195,7 +193,7 @@ type slice = { sl_pool : pool; sl_jobs : int }
 (** [lease p ~shards] partitions [pool_size p] helper domains into
     [shards] slices: slice [i] gets [size/shards] helpers plus one of
     the remainder for [i < size mod shards], plus the calling domain —
-    so [slice_jobs] is at least 1 and sums to [pool_size p + shards].
+    so every budget is at least 1 and they sum to [pool_size p + shards].
     @raise Invalid_argument if [shards < 1]. *)
 let lease p ~shards =
   if shards < 1 then invalid_arg "Par.lease: shards < 1";
@@ -204,8 +202,6 @@ let lease p ~shards =
   Array.init shards (fun i ->
       let helpers = base + if i < rem then 1 else 0 in
       { sl_pool = p; sl_jobs = helpers + 1 })
-
-let slice_jobs s = s.sl_jobs
 
 (** [map_slice s f xs] is {!map_pool} bounded by the slice's budget. *)
 let map_slice s f xs = map_pool s.sl_pool ~jobs:s.sl_jobs f xs

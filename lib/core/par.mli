@@ -10,10 +10,6 @@
     [Hashtbl] cache) — memoise on the calling domain after [map]
     returns. *)
 
-(** A sensible default worker count: the host's recommended domain count
-    minus one (keeping the calling domain responsive), at least 1. *)
-val default_jobs : unit -> int
-
 (** [map ~jobs f xs] is [Array.map f xs] computed by [jobs] domains (the
     caller's included; [jobs <= 1] runs sequentially). Helper domains come
     from a lazily-created process-global {!pool} that persists across
@@ -63,12 +59,9 @@ type slice
 
 (** [lease p ~shards] splits [pool_size p] helpers into [shards]
     slices: slice [i] gets [size/shards] helpers (+1 for
-    [i < size mod shards]) plus the calling domain, so every slice has
-    [slice_jobs >= 1]. @raise Invalid_argument if [shards < 1]. *)
+    [i < size mod shards]) plus the calling domain, so every slice's
+    budget is at least 1. @raise Invalid_argument if [shards < 1]. *)
 val lease : pool -> shards:int -> slice array
-
-(** The slice's participant budget (helpers + the calling domain). *)
-val slice_jobs : slice -> int
 
 (** [map_slice s f xs] is {!map_pool} on the slice's pool bounded by
     its budget. *)

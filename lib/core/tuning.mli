@@ -40,8 +40,6 @@ type decision = {
   profile_rows : int;
 }
 
-val default_candidates : int list
-
 (** Fraction of outer rows profiled per candidate (0.05). Exposed so the
     cost model's analytic slice estimate ({!Asap_model.Features}) mirrors
     exactly the slice the sweep measures. *)
@@ -54,7 +52,8 @@ val profile_cycles : decision -> int
 
 (** [tune ?engine ?jobs ?candidates ?st machine enc coo] profiles and
     decides. The encoding's top level must be dense (the profiling
-    slice is a row range). [engine] selects the simulator's execution
+    slice is a row range). [candidates] defaults to distances 4, 8, 16,
+    32 and 64. [engine] selects the simulator's execution
     engine; candidate profiling runs are independent simulations, so
     [jobs > 1] farms them to a {!Par} domain pool — the decision is
     deterministic either way, and independent of candidate order (cycle

@@ -11,9 +11,6 @@ open Ir
     [None]. *)
 val def_table : func -> rvalue option array
 
-(** [iter_stmts f fn] applies [f] to every statement, outermost first. *)
-val iter_stmts : (stmt -> unit) -> func -> unit
-
 (** [loads fn] lists every load as (defined value, buffer, index). *)
 val loads : func -> (value * buffer * value) list
 

@@ -20,7 +20,5 @@ val geometric_mean : float array -> float
     [variant] over [base], both throughputs over the same inputs. *)
 val ews : base:float array -> variant:float array -> float
 
-val stddev : float array -> float
-
 (** Coefficient of variation (the paper's §4.2 stability criterion). *)
 val cov : float array -> float

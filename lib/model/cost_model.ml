@@ -21,8 +21,9 @@
      shallow lookahead wins) from everything else (the plateau).
 
    Coefficients are calibrated offline by tools/fit_cost_model.ml, which
-   sweeps the synthetic suite once and checks model-vs-sweep agreement;
-   [default] holds the fitted values. *)
+   refits the speedup law over the synthetic suite's sweep profiles;
+   [default] holds the fitted values. The model-vs-sweep accuracy gates
+   are rows of [bench/main.exe check tune]. *)
 
 module Machine = Asap_sim.Machine
 module Pipeline = Asap_core.Pipeline

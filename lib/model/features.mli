@@ -10,9 +10,6 @@ module Coo = Asap_tensor.Coo
 module Encoding = Asap_tensor.Encoding
 module Machine = Asap_sim.Machine
 
-(** Number of log2 buckets in the segment-length histogram. *)
-val hist_buckets : int
-
 type t = {
   f_rows : int;
   f_cols : int;

@@ -75,9 +75,6 @@ let to_string j =
   emit b j;
   Buffer.contents b
 
-(** [to_buffer b j] appends the serialisation of [j] to [b]. *)
-let to_buffer = emit
-
 (* --- Parsing -------------------------------------------------------- *)
 
 (* A small recursive-descent parser, added when the serve subsystem made

@@ -14,9 +14,6 @@ type t =
 (** [to_string j] is the compact (single-line) serialisation of [j]. *)
 val to_string : t -> string
 
-(** [to_buffer b j] appends the serialisation of [j] to [b]. *)
-val to_buffer : Buffer.t -> t -> unit
-
 (** {1 Parsing}
 
     Added when the serve subsystem made this layer bidirectional

@@ -37,8 +37,6 @@ let get t name = Hashtbl.find_opt t.tbl name
     read as zero. *)
 let find t name = match get t name with Some v -> v | None -> 0
 
-let cardinal t = Hashtbl.length t.tbl
-
 (** [sum_prefix t ?leaf prefix] sums every counter whose name starts
     with [prefix] — and, when [leaf] is given, also ends with
     [".leaf"] — so fleet aggregates over per-shard counters are derived

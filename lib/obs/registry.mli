@@ -19,8 +19,6 @@ val get : t -> string -> int option
 (** [find t name] defaults to 0: counters that never fired read as 0. *)
 val find : t -> string -> int
 
-val cardinal : t -> int
-
 (** [sum_prefix t ?leaf prefix] sums counters whose name starts with
     [prefix] and (when [leaf] is given) ends with [".leaf"]; 0 when
     nothing matches. E.g. [sum_prefix t ~leaf:"ok" "serve.shard."]

@@ -40,21 +40,6 @@ let null = { enabled = false; emit = ignore }
 
 let make emit = { enabled = true; emit }
 
-(** [tee a b] forwards every event to both sinks; enabled iff either is.
-    Disabled legs are skipped. *)
-let tee a b =
-  match (a.enabled, b.enabled) with
-  | false, false -> null
-  | true, false -> a
-  | false, true -> b
-  | true, true ->
-    { enabled = true;
-      emit = (fun e -> a.emit e; b.emit e) }
-
-let ev_time = function
-  | Load { at; _ } | Store { at; _ } | Sw_prefetch { at; _ }
-  | Hw_prefetch { at; _ } | Drop { at; _ } -> at
-
 let level_name = function
   | 0 -> "MSHR"
   | 1 -> "L1"

@@ -30,11 +30,5 @@ val null : t
 (** [make emit] is an enabled sink forwarding to [emit]. *)
 val make : (ev -> unit) -> t
 
-(** [tee a b] forwards to both sinks; enabled iff either is. *)
-val tee : t -> t -> t
-
-(** [ev_time e] is the simulated cycle the event occurred at. *)
-val ev_time : ev -> int
-
 (** [level_name l] is "L1" / "L2" / "L3" / "DRAM" / "MSHR". *)
 val level_name : level -> string

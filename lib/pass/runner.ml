@@ -86,15 +86,12 @@ let check_structure (src : string) (rs : resolved) : unit =
       | Pass.Ir_pass _ -> ())
     rs
 
-let resolve_spec ?(src = "") (spec : Spec.t) : resolved =
-  let src = if src = "" then Spec.to_string spec else src in
-  let rs = List.map (resolve_item src) spec in
-  check_structure src rs;
-  rs
-
 let resolve (text : string) : resolved =
   match Spec.parse text with
-  | spec -> resolve_spec ~src:text spec
+  | spec ->
+    let rs = List.map (resolve_item text) spec in
+    check_structure text rs;
+    rs
   | exception Spec.Error { pos; msg } ->
     fail "pipeline spec: at %d: %s (in %S)" pos msg text
 
@@ -145,9 +142,6 @@ let run_tail ?registry (rs : resolved) (fn : Asap_ir.Ir.func) :
         note registry r.pass.Pass.name rewrites ns;
         (fn, if r.pass.Pass.counts_sites then sites + rewrites else sites))
     (fn, 0) rs
-
-let run_ir ?registry (rs : resolved) (fn : Asap_ir.Ir.func) : Asap_ir.Ir.func =
-  fst (run_tail ?registry rs fn)
 
 let compile ?registry (rs : resolved) (k : Kernel.t) : compiled =
   match rs with

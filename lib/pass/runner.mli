@@ -22,10 +22,6 @@ type resolved = rpass list
     type mismatches, or structure violations — always quoting [text]. *)
 val resolve : string -> resolved
 
-(** [resolve_spec spec] likewise for an already-parsed spec; [src] is
-    the original text used in error messages. *)
-val resolve_spec : ?src:string -> Spec.t -> resolved
-
 (** Canonical textual form: every pass with its full parameter list in
     declared order.  [resolve (canonical rs)] resolves to [rs], and two
     pipelines are equivalent iff their canonical forms are equal. *)
@@ -46,7 +42,3 @@ type compiled = {
     [.ns] counters per pass.
     @raise Invalid_argument if [rs] does not start with an entry pass. *)
 val compile : ?registry:Registry.t -> resolved -> Kernel.t -> compiled
-
-(** [run_ir ?registry rs fn] runs an IR-only pipeline (no entry or hook
-    passes) over an existing function. *)
-val run_ir : ?registry:Registry.t -> resolved -> Asap_ir.Ir.func -> Asap_ir.Ir.func

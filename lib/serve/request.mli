@@ -47,11 +47,6 @@ type t = {
 (** ["default"] — the tenant of requests that don't name one. *)
 val default_tenant : string
 
-val kernel_to_string : kernel -> string
-val kernel_of_string : string -> kernel option
-val variant_to_string : variant -> string
-val variant_of_string : string -> variant option
-
 (** [matrix_encoding_of_format fmt] is the rank-2 encoding [fmt] names:
     coo, csr, csc, dcsr, ["bsr"] (4x4 blocks) or ["bsr<bh>x<bw>"]. *)
 val matrix_encoding_of_format : string -> Encoding.t option
@@ -66,8 +61,6 @@ val spec : t -> Driver.kernel_spec
 
 (** [fixed_variant v] is the pipeline variant for non-[`Tuned] cases. *)
 val fixed_variant : variant -> Pipeline.variant option
-
-val machine_presets : string list
 
 (** [machine_of r] resolves the machine preset ([default] / [optimized]
     / [optimized-spmm] over the scaled evaluation machine).
@@ -109,7 +102,6 @@ val to_json : t -> Jsonu.t
 (** [to_line r] is the one-line JSONL form. *)
 val to_line : t -> string
 
-val of_json : Jsonu.t -> (t, string) result
 val of_line : string -> (t, string) result
 
 (** [load path] reads a JSONL request file; blank and [#] lines are
@@ -134,7 +126,6 @@ module Update : sig
 
   val to_json : t -> Jsonu.t
   val to_line : t -> string
-  val of_json : Jsonu.t -> (t, string) result
 
   (** [apply u coo] applies every delta (set semantics: existing
       entries replaced, fresh coordinates appended in delta order).

@@ -7,11 +7,9 @@
 
 type t
 
-(** Ring points per shard; more points → better balance, larger ring. *)
-val default_vnodes : int
-
-(** [create ~shards ()] builds the ring. @raise Invalid_argument if
-    [shards < 1] or [vnodes < 1]. *)
+(** [create ~shards ()] builds the ring with [vnodes] points per shard
+    (default 64; more points → better balance, larger ring).
+    @raise Invalid_argument if [shards < 1] or [vnodes < 1]. *)
 val create : ?vnodes:int -> shards:int -> unit -> t
 
 val shards : t -> int

@@ -24,8 +24,6 @@ type outcome =
   | Shed        (** rejected by admission control (queue full or tenant
                     quota), or dropped at dispatch under [Config.Drop] *)
 
-val outcome_to_string : outcome -> string
-
 type record = {
   r_index : int;                   (** position in the input list *)
   r_req : Request.t;
@@ -88,9 +86,6 @@ val run :
   ?trace:Chrome.t -> ?updates:Request.Update.t list -> Config.t ->
   Request.t list -> replayed
 
-(** [record_to_json r] / [record_to_line r]: one record as a (one-line)
-    JSON object of virtual quantities only — byte-comparable across
-    runs and host parallelism. *)
-val record_to_json : record -> Jsonu.t
-
+(** [record_to_line r]: one record as a one-line JSON object of virtual
+    quantities only — byte-comparable across runs and host parallelism. *)
 val record_to_line : record -> string

@@ -300,11 +300,3 @@ let shard_to_json (sh : shard_summary) : Jsonu.t =
       ("p95_ms", opt_json sh.sh_p95_ms);
       ("p99_ms", opt_json sh.sh_p99_ms);
       ("p999_ms", opt_json sh.sh_p999_ms) ]
-
-let pp_shard ppf (sh : shard_summary) =
-  Format.fprintf ppf
-    "shard %d: %d ok, %d degraded, %d shed; cache %d/%d/%d; steal %d in \
-     / %d out; p50/p95 %a / %a ms"
-    sh.sh_index sh.sh_ok sh.sh_degraded sh.sh_shed sh.sh_hits sh.sh_misses
-    sh.sh_evictions sh.sh_steals_in sh.sh_steals_out pp_opt sh.sh_p50_ms
-    pp_opt sh.sh_p95_ms

@@ -112,4 +112,3 @@ val shard_make :
 val shard_register : Registry.t -> shard_summary -> unit
 
 val shard_to_json : shard_summary -> Jsonu.t
-val pp_shard : Format.formatter -> shard_summary -> unit

@@ -1,4 +1,4 @@
-(* Flat-bytecode execution engine with superinstruction fusion.
+(* Flat-bytecode execution engine.
 
    The tree-walking interpreter ({!Interp}) pays a pattern match and
    environment lookups per simulated statement. This engine flattens an
@@ -11,24 +11,13 @@
    become preallocated vid arrays; loop state lives in per-static-loop
    slots (no recursion in the IR, so one slot per loop suffices).
 
-   On top of the flat form, adjacent statements matching the shapes
-   sparsification always emits are fused into superinstructions, so one
-   dispatch covers the whole sequence:
-
-   - [LD2]     load crd[jj] ; load val[jj]        (int load + float load)
-   - [LDFMA]   load c[j] ; mulf ; addf            (gather + FMA tail)
-   - [POS2]    load pos[i] ; load pos[i+1]        (compressed bounds pair)
-   - [POS2FOR] load pos ; load pos ; for          (full compressed header)
-   - [FOR_LOOP] yield ; advance ; test ; branch   (fused loop back-edge)
-
-   Fusion changes dispatch count only: each superinstruction performs
-   the identical sequence of issue/retire timing events, memory-port
-   calls (same pcs, so {!Exec.load_sites} attribution is unchanged),
-   bounds checks and register writes as its unfused constituents, in the
-   same order. Cycle-exactness and value-exactness against {!Interp.run}
-   therefore hold by construction, and are enforced by the differential
-   tests in [test/test_engine.ml] (including fused-vs-unfused runs via
-   the [?fuse] knob). *)
+   Every IR operation is one opcode, performing the same sequence of
+   issue/retire timing events, memory-port calls (same pcs, so
+   {!Exec.load_sites} attribution is unchanged), bounds checks and
+   register writes as {!Interp.run}, in the same order. Cycle-exactness
+   and value-exactness against {!Interp.run} therefore hold by
+   construction, and are enforced by the differential tests in
+   [test/test_engine.ml]. *)
 
 open Asap_ir
 
@@ -79,22 +68,7 @@ let st_lat = 1
    47 WHILE_NEXT w cond                  3
    48 WHILE_EXIT w                       2
    49 IF       cv else                   3
-   50 JUMP     t                         2
-   51 LD2      d1 ix1 bid1 base1 eb1 n1
-               d2 ix2 bid2 base2 eb2 n2  13
-   52 LDFMA    dl ixl bid base eb n
-               dm am bm  da ga ha        13
-   53 POS2     d1 ix1 bid1 base1 eb1 n1
-               d2 ix2 bid2 base2 eb2 n2  13
-   54 POS2FOR  (POS2 operands) l         14   (falls through to FOR_TEST)
-   55 FOR_LOOP l ivd body                4    (fused FOR_NEXT + FOR_TEST at
-                                              the loop tail; falls through
-                                              to FOR_EXIT when done)
-   56 FOR_KENTER l ivd                   3    (entry for non-top loops with
-                                              literal-constant bounds and
-                                              trip >= 1: the statically-taken
-                                              FOR_TEST without the guard
-                                              compare; same timing events) *)
+   50 JUMP     t                         2 *)
 
 let op_halt = 0
 let op_const_i = 1
@@ -127,12 +101,6 @@ let op_while_next = 47
 let op_while_exit = 48
 let op_if = 49
 let op_jump = 50
-let op_ld2 = 51
-let op_ldfma = 52
-let op_pos2 = 53
-let op_pos2for = 54
-let op_for_loop = 55
-let op_for_kenter = 56
 
 (* Carried-value plumbing, staged exactly as in Compile: vids of
    destinations and sources plus per-slot float-ness. *)
@@ -183,10 +151,7 @@ type prog = {
   p_bb : Bytes.t array;           (* bid -> RB backing bytes, or empty *)
   p_bname : string array;         (* bid -> buffer name (fault messages) *)
   p_bounds : Runtime.bound array; (* kind-mismatch store fallback *)
-  p_fused : int;                  (* superinstructions emitted *)
 }
-
-let fused_count p = p.p_fused
 
 (* --- Compilation ----------------------------------------------------- *)
 
@@ -199,7 +164,6 @@ type emitter = {
   mutable e_nloops : int;
   mutable e_whiles : while_info list;  (* reversed *)
   mutable e_nwhiles : int;
-  mutable e_fused : int;
 }
 
 let emit e x =
@@ -232,13 +196,6 @@ let add_while e info =
   e.e_whiles <- info :: e.e_whiles;
   e.e_nwhiles <- i + 1;
   i
-
-(* Load/store operand tails are uniform: bid base eb n. *)
-let emit_buf_operands e (b : Runtime.bound) bid =
-  emit e bid;
-  emit e b.Runtime.base;
-  emit e b.Runtime.ebytes;
-  emit e (Runtime.length_of b.Runtime.data)
 
 type buf_kind = KI | KF | KB
 
@@ -279,35 +236,17 @@ let icmp_code = function
   | Ir.Ugt | Ir.Sgt -> op_ceq + 4
   | Ir.Uge | Ir.Sge -> op_ceq + 5
 
-let compile ?(fuse = true) (fn : Ir.func)
-    ~(bufs : Runtime.bound array) : prog =
+let compile (fn : Ir.func) ~(bufs : Runtime.bound array) : prog =
   let e =
     { e_code = Array.make 256 0; e_len = 0;
       e_fpool = []; e_nf = 0;
       e_loops = []; e_nloops = 0;
-      e_whiles = []; e_nwhiles = 0;
-      e_fused = 0 }
+      e_whiles = []; e_nwhiles = 0 }
   in
   (* Literal integer constants seen so far (vid -> value). Loop bounds
      found here are baked into [l_const]; SSA dominance
      guarantees a bound's defining let is emitted before its loop. *)
   let consts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let emit_load ~d ~ix (buf : Ir.buffer) =
-    let b = bufs.(buf.Ir.bid) in
-    let op =
-      match kind_of b with KI -> op_loadi | KF -> op_loadf | KB -> op_loadb
-    in
-    emit e op;
-    emit e d;
-    emit e ix;
-    emit_buf_operands e b buf.Ir.bid
-  in
-  (* Operand tail of one load inside a superinstruction (no opcode). *)
-  let emit_load_tail ~d ~ix (buf : Ir.buffer) =
-    emit e d;
-    emit e ix;
-    emit_buf_operands e bufs.(buf.Ir.bid) buf.Ir.bid
-  in
   let emit_let (v : Ir.value) (rv : Ir.rvalue) =
     let d = v.Ir.vid in
     match rv with
@@ -329,7 +268,13 @@ let compile ?(fuse = true) (fn : Ir.func)
     | Ir.Select (c, a, b) ->
       emit e (if v.Ir.vty = Ir.F64 then op_self else op_seli);
       emit e d; emit e c.Ir.vid; emit e a.Ir.vid; emit e b.Ir.vid
-    | Ir.Load (buf, idx) -> emit_load ~d ~ix:idx.Ir.vid buf
+    | Ir.Load (buf, idx) ->
+      let b = bufs.(buf.Ir.bid) in
+      emit e
+        (match kind_of b with KI -> op_loadi | KF -> op_loadf | KB -> op_loadb);
+      emit e d; emit e idx.Ir.vid; emit e buf.Ir.bid;
+      emit e b.Runtime.base; emit e b.Runtime.ebytes;
+      emit e (Runtime.length_of b.Runtime.data)
     | Ir.Dim buf ->
       emit e op_dim; emit e d;
       emit e (Runtime.length_of bufs.(buf.Ir.bid).Runtime.data)
@@ -343,64 +288,7 @@ let compile ?(fuse = true) (fn : Ir.func)
       emit e op; emit e d; emit e x.Ir.vid
   in
   let rec emit_block ~top (blk : Ir.block) =
-    match blk with
-    (* POS2 / POS2FOR: two adjacent int loads (the compressed-level
-       pos[i]/pos[i+1] bounds pair), optionally straight into the [for]
-       they bound. *)
-    | Ir.Let (v1, Ir.Load (b1, x1)) :: Ir.Let (v2, Ir.Load (b2, x2)) :: rest
-      when fuse
-           && kind_of bufs.(b1.Ir.bid) = KI
-           && kind_of bufs.(b2.Ir.bid) = KI -> (
-        let emit_pair op =
-          e.e_fused <- e.e_fused + 1;
-          emit e op;
-          emit_load_tail ~d:v1.Ir.vid ~ix:x1.Ir.vid b1;
-          emit_load_tail ~d:v2.Ir.vid ~ix:x2.Ir.vid b2
-        in
-        match rest with
-        | Ir.For f :: rest'
-          when (f.Ir.f_lo.Ir.vid = v1.Ir.vid && f.Ir.f_hi.Ir.vid = v2.Ir.vid)
-            || (f.Ir.f_lo.Ir.vid = v2.Ir.vid && f.Ir.f_hi.Ir.vid = v1.Ir.vid)
-          ->
-          emit_pair op_pos2for;
-          let l, li = loop_of ~top f in
-          emit e l;
-          emit_for_tail l li f;
-          emit_block ~top rest'
-        | _ ->
-          emit_pair op_pos2;
-          emit_block ~top rest)
-    (* LD2: crd/val pair — int load then float load (typically sharing
-       the compressed-position index). *)
-    | Ir.Let (v1, Ir.Load (b1, x1)) :: Ir.Let (v2, Ir.Load (b2, x2)) :: rest
-      when fuse
-           && kind_of bufs.(b1.Ir.bid) = KI
-           && kind_of bufs.(b2.Ir.bid) = KF ->
-      e.e_fused <- e.e_fused + 1;
-      emit e op_ld2;
-      emit_load_tail ~d:v1.Ir.vid ~ix:x1.Ir.vid b1;
-      emit_load_tail ~d:v2.Ir.vid ~ix:x2.Ir.vid b2;
-      emit_block ~top rest
-    (* LDFMA: gather + multiply-accumulate tail of the SpMV/SpMM inner
-       body — float load feeding a mulf feeding an addf. *)
-    | Ir.Let (vl, Ir.Load (bl, xl))
-      :: Ir.Let (vm, Ir.Fbin (Ir.Fmul, ma, mb))
-      :: Ir.Let (va, Ir.Fbin (Ir.Fadd, ga, gb))
-      :: rest
-      when fuse
-           && kind_of bufs.(bl.Ir.bid) = KF
-           && (ma.Ir.vid = vl.Ir.vid || mb.Ir.vid = vl.Ir.vid)
-           && (ga.Ir.vid = vm.Ir.vid || gb.Ir.vid = vm.Ir.vid) ->
-      e.e_fused <- e.e_fused + 1;
-      emit e op_ldfma;
-      emit_load_tail ~d:vl.Ir.vid ~ix:xl.Ir.vid bl;
-      emit e vm.Ir.vid; emit e ma.Ir.vid; emit e mb.Ir.vid;
-      emit e va.Ir.vid; emit e ga.Ir.vid; emit e gb.Ir.vid;
-      emit_block ~top rest
-    | s :: rest ->
-      emit_stmt ~top s;
-      emit_block ~top rest
-    | [] -> ()
+    List.iter (emit_stmt ~top) blk
   and emit_stmt ~top (s : Ir.stmt) =
     match s with
     | Ir.Let (v, rv) -> emit_let v rv
@@ -436,10 +324,23 @@ let compile ?(fuse = true) (fn : Ir.func)
       emit e b.Runtime.base; emit e b.Runtime.ebytes;
       emit e p.Ir.plocality
     | Ir.For f ->
+      let l = loop_of ~top f in
       emit e op_for_init;
-      let l, li = loop_of ~top f in
       emit e l;
-      emit_for_tail l li f
+      emit e op_for_test;
+      emit e l;
+      emit e f.Ir.f_iv.Ir.vid;
+      let exit_ph = pos e in
+      emit e 0;
+      let body = pos e in
+      emit_block ~top:false f.Ir.f_body;
+      emit e op_for_next;
+      emit e l;
+      (* Back to the FOR_TEST, 4 slots before the body. *)
+      emit e (body - 4);
+      patch e exit_ph (pos e);
+      emit e op_for_exit;
+      emit e l
     | Ir.While w ->
       let wi =
         add_while e
@@ -509,63 +410,7 @@ let compile ?(fuse = true) (fn : Ir.func)
             (List.map2 (fun r (arg, _) -> (r, arg)) f.Ir.f_results
                f.Ir.f_carried) }
     in
-    (add_loop e info, info)
-  (* Everything after the loop's init — the init opcode (FOR_INIT or a
-     fused POS2FOR) falls through to this. *)
-  and emit_for_tail l (li : loop_info) (f : Ir.forloop) =
-    (* Constant bounds with trip >= 1 on a non-top loop: the entry guard
-       is statically taken, so emit FOR_KENTER instead of the entry
-       FOR_TEST (same ivd write and the same two loop-overhead events,
-       no guard compare). Needs the fused FOR_LOOP back-edge — the
-       unfused FOR_NEXT jumps back through the entry test. Top loops
-       keep the guard: a run-time slice can empty their range. *)
-    let kenter =
-      fuse && (not li.l_top)
-      && (match li.l_const with
-          | Some (lo, hi, _) -> lo < hi
-          | None -> false)
-    in
-    if kenter then begin
-      emit e op_for_kenter;
-      emit e l;
-      emit e f.Ir.f_iv.Ir.vid;
-      let body = pos e in
-      emit_block ~top:false f.Ir.f_body;
-      e.e_fused <- e.e_fused + 1;
-      emit e op_for_loop;
-      emit e l;
-      emit e f.Ir.f_iv.Ir.vid;
-      emit e body;
-      emit e op_for_exit;
-      emit e l
-    end
-    else begin
-      emit e op_for_test;
-      emit e l;
-      emit e f.Ir.f_iv.Ir.vid;
-      let exit_ph = pos e in
-      emit e 0;
-      let body = pos e in
-      emit_block ~top:false f.Ir.f_body;
-      if fuse then begin
-        (* Fused back-edge: FOR_NEXT and the taken FOR_TEST in one
-           dispatch; the entry FOR_TEST above still guards iteration 0. *)
-        e.e_fused <- e.e_fused + 1;
-        emit e op_for_loop;
-        emit e l;
-        emit e f.Ir.f_iv.Ir.vid;
-        emit e body
-      end
-      else begin
-        emit e op_for_next;
-        emit e l;
-        (* Back to the FOR_TEST, 4 slots before the body. *)
-        emit e (body - 4)
-      end;
-      patch e exit_ph (pos e);
-      emit e op_for_exit;
-      emit e l
-    end
+    add_loop e info
   in
   emit_block ~top:true fn.Ir.fn_body;
   emit e op_halt;
@@ -590,8 +435,7 @@ let compile ?(fuse = true) (fn : Ir.func)
           match b.Runtime.data with Runtime.RB s -> s | _ -> Bytes.empty)
         bufs;
     p_bname = Array.map (fun b -> b.Runtime.buf.Ir.bname) bufs;
-    p_bounds = bufs;
-    p_fused = e.e_fused }
+    p_bounds = bufs }
 
 (* --- Execution ------------------------------------------------------- *)
 
@@ -664,8 +508,7 @@ let[@inline] copy_carry st (c : carry) =
   done
 
 (* Loop entry: bounds read, step trap, top-level slice, carried init and
-   the induction ready time — exactly Interp's [For] prologue. Shared by
-   FOR_INIT and the fused POS2FOR. *)
+   the induction ready time — exactly Interp's [For] prologue. *)
 let for_init st (loops : loop_info array) l =
   let info = Array.unsafe_get loops l in
   let ready = st.ready and ienv = st.ienv in
@@ -741,48 +584,12 @@ let run ?slice ?(width = 3) ?(rob_size = 64) ?(branch_miss = 6) (p : prog)
   let bname = p.p_bname and bounds = p.p_bounds in
   let mem = st.mem in
   let[@inline] opnd k = Array.unsafe_get code k in
-  (* The int/float load bodies below (LOADI/LOADF and the load slots of
-     LD2/LDFMA/POS2/POS2FOR) are deliberately written out at each opcode
-     — classic ocamlopt does not inline a local helper into the dispatch
-     loop, and the call costs ~5% of engine throughput on SpMV. Each copy
-     is the exact Interp ordering: issue on the index, present the
-     (possibly OOB) address to the memory port with the destination vid
-     as pc, retire at the fill time, then bounds-check. The operand tail
-     is [d ix bid base eb n] at the given offset. POS2/POS2FOR run once
-     per compressed row — cold next to the per-nonzero opcodes — so
-     their int-load pair stays an outlined helper. *)
-  let pos_pair pc =
-    st.loads <- st.loads + 1;
-    let d = opnd (pc + 1) and ix = opnd (pc + 2) in
-    let i = Array.unsafe_get ienv ix in
-    let t = issue_at st (Array.unsafe_get ready ix) in
-    let done_at =
-      mem.Interp.m_load ~pc:d ~addr:(opnd (pc + 4) + (i * opnd (pc + 5)))
-        ~at:t
-    in
-    retire st done_at;
-    if i < 0 || i >= opnd (pc + 6) then
-      Runtime.fault "load %s[%d] out of bounds [0, %d)"
-        (Array.unsafe_get bname (opnd (pc + 3))) i (opnd (pc + 6));
-    Array.unsafe_set ienv d
-      (Array.unsafe_get (Array.unsafe_get bi (opnd (pc + 3))) i);
-    Array.unsafe_set ready d done_at;
-    st.loads <- st.loads + 1;
-    let d = opnd (pc + 7) and ix = opnd (pc + 8) in
-    let i = Array.unsafe_get ienv ix in
-    let t = issue_at st (Array.unsafe_get ready ix) in
-    let done_at =
-      mem.Interp.m_load ~pc:d ~addr:(opnd (pc + 10) + (i * opnd (pc + 11)))
-        ~at:t
-    in
-    retire st done_at;
-    if i < 0 || i >= opnd (pc + 12) then
-      Runtime.fault "load %s[%d] out of bounds [0, %d)"
-        (Array.unsafe_get bname (opnd (pc + 9))) i (opnd (pc + 12));
-    Array.unsafe_set ienv d
-      (Array.unsafe_get (Array.unsafe_get bi (opnd (pc + 9))) i);
-    Array.unsafe_set ready d done_at
-  in
+  (* The load bodies (LOADI/LOADF/LOADB) are written out at each opcode
+     rather than shared through a helper: classic ocamlopt does not
+     inline a local function into the dispatch loop. Each is the exact
+     Interp ordering: issue on the index, present the (possibly OOB)
+     address to the memory port with the destination vid as pc, retire
+     at the fill time, then bounds-check. *)
   let rec go pc =
     match Array.unsafe_get code pc with
     | 0 (* HALT *) -> ()
@@ -1270,108 +1077,6 @@ let run ?slice ?(width = 3) ?(rob_size = 64) ?(branch_miss = 6) (p : prog)
       if Array.unsafe_get ienv cv <> 0 then go (pc + 3)
       else go (opnd (pc + 2))
     | 50 (* JUMP *) -> go (opnd (pc + 1))
-    | 51 (* LD2: int load ; float load *) ->
-      st.loads <- st.loads + 1;
-      let d = opnd (pc + 1) and ix = opnd (pc + 2) in
-      let i = Array.unsafe_get ienv ix in
-      let t = issue_at st (Array.unsafe_get ready ix) in
-      let done_at =
-        mem.Interp.m_load ~pc:d ~addr:(opnd (pc + 4) + (i * opnd (pc + 5)))
-          ~at:t
-      in
-      retire st done_at;
-      if i < 0 || i >= opnd (pc + 6) then
-        Runtime.fault "load %s[%d] out of bounds [0, %d)"
-          (Array.unsafe_get bname (opnd (pc + 3))) i (opnd (pc + 6));
-      Array.unsafe_set ienv d
-        (Array.unsafe_get (Array.unsafe_get bi (opnd (pc + 3))) i);
-      Array.unsafe_set ready d done_at;
-      st.loads <- st.loads + 1;
-      let d = opnd (pc + 7) and ix = opnd (pc + 8) in
-      let i = Array.unsafe_get ienv ix in
-      let t = issue_at st (Array.unsafe_get ready ix) in
-      let done_at =
-        mem.Interp.m_load ~pc:d ~addr:(opnd (pc + 10) + (i * opnd (pc + 11)))
-          ~at:t
-      in
-      retire st done_at;
-      if i < 0 || i >= opnd (pc + 12) then
-        Runtime.fault "load %s[%d] out of bounds [0, %d)"
-          (Array.unsafe_get bname (opnd (pc + 9))) i (opnd (pc + 12));
-      Array.unsafe_set fenv d
-        (Array.unsafe_get (Array.unsafe_get bf (opnd (pc + 9))) i);
-      Array.unsafe_set ready d done_at;
-      go (pc + 13)
-    | 52 (* LDFMA: float load ; fmul ; fadd *) ->
-      st.loads <- st.loads + 1;
-      let d = opnd (pc + 1) and ix = opnd (pc + 2) in
-      let i = Array.unsafe_get ienv ix in
-      let t = issue_at st (Array.unsafe_get ready ix) in
-      let done_at =
-        mem.Interp.m_load ~pc:d ~addr:(opnd (pc + 4) + (i * opnd (pc + 5)))
-          ~at:t
-      in
-      retire st done_at;
-      if i < 0 || i >= opnd (pc + 6) then
-        Runtime.fault "load %s[%d] out of bounds [0, %d)"
-          (Array.unsafe_get bname (opnd (pc + 3))) i (opnd (pc + 6));
-      Array.unsafe_set fenv d
-        (Array.unsafe_get (Array.unsafe_get bf (opnd (pc + 3))) i);
-      Array.unsafe_set ready d done_at;
-      let dm = opnd (pc + 7) and ma = opnd (pc + 8) and mb = opnd (pc + 9) in
-      st.flops <- st.flops + 1;
-      let t =
-        simple st fp_lat
-          (imax (Array.unsafe_get ready ma) (Array.unsafe_get ready mb))
-      in
-      Array.unsafe_set fenv dm
-        (Array.unsafe_get fenv ma *. Array.unsafe_get fenv mb);
-      Array.unsafe_set ready dm t;
-      let da = opnd (pc + 10) in
-      let ga = opnd (pc + 11) and gb = opnd (pc + 12) in
-      st.flops <- st.flops + 1;
-      let t =
-        simple st fp_lat
-          (imax (Array.unsafe_get ready ga) (Array.unsafe_get ready gb))
-      in
-      Array.unsafe_set fenv da
-        (Array.unsafe_get fenv ga +. Array.unsafe_get fenv gb);
-      Array.unsafe_set ready da t;
-      go (pc + 13)
-    | 53 (* POS2: int load ; int load *) ->
-      pos_pair pc;
-      go (pc + 13)
-    | 54 (* POS2FOR: int load ; int load ; for-init *) ->
-      pos_pair pc;
-      for_init st loops (opnd (pc + 13));
-      go (pc + 14)
-    | 55 (* FOR_LOOP: fused FOR_NEXT + taken FOR_TEST back-edge *) ->
-      let l = opnd (pc + 1) in
-      copy_carry st (Array.unsafe_get loops l).l_yield;
-      let riv = Array.unsafe_get st.lriv l + 1 in
-      Array.unsafe_set st.lriv l riv;
-      let i = Array.unsafe_get st.liv l + Array.unsafe_get st.lstep l in
-      Array.unsafe_set st.liv l i;
-      if i < Array.unsafe_get st.lhi l then begin
-        let ivd = opnd (pc + 2) in
-        Array.unsafe_set ienv ivd i;
-        Array.unsafe_set ready ivd riv;
-        (* Same two loop-overhead events the unfused FOR_TEST issues. *)
-        let (_ : int) = simple st int_lat riv in
-        let (_ : int) = simple st int_lat riv in
-        go (opnd (pc + 3))
-      end
-      else go (pc + 4) (* falls through to FOR_EXIT *)
-    | 56 (* FOR_KENTER: statically-taken entry test of a const-bound loop *) ->
-      let l = opnd (pc + 1) in
-      let riv = Array.unsafe_get st.lriv l in
-      let ivd = opnd (pc + 2) in
-      Array.unsafe_set ienv ivd (Array.unsafe_get st.liv l);
-      Array.unsafe_set ready ivd riv;
-      (* Same two loop-overhead events the entry FOR_TEST issues. *)
-      let (_ : int) = simple st int_lat riv in
-      let (_ : int) = simple st int_lat riv in
-      go (pc + 3)
     | _ -> assert false
   in
   go 0;

@@ -159,9 +159,4 @@ let insert_absent t line ~prov =
     already present (refreshes LRU). *)
 let insert t line ~prov = ignore (insert_evict t line ~prov)
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.pf_hits <- 0
-
 let accesses t = t.hits + t.misses

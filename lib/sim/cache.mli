@@ -59,5 +59,4 @@ val insert_evict : t -> int -> prov:int -> int
     have installed it): skips the presence re-scan. *)
 val insert_absent : t -> int -> prov:int -> int
 
-val reset_stats : t -> unit
 val accesses : t -> int

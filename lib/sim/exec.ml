@@ -89,7 +89,7 @@ let aggregate machine threads (fn : Ir.func) (rs : Interp.result array) mem =
     rp_op_misses = op_misses fn mem }
 
 (** The execution engine: the tree-walking interpreter ({!Interp}) or
-    the flat-bytecode engine with superinstruction fusion ({!Bytecode}).
+    the flat-bytecode engine ({!Bytecode}).
     They are cycle-exact and value-exact drop-ins for each other
     (differential-tested), so the choice is purely a host-speed
     trade-off. *)
@@ -249,10 +249,7 @@ module Report = struct
 
   let demand_loads r = r.rp_mem.Hierarchy.st_demand_loads
   let demand_stores r = r.rp_mem.Hierarchy.st_demand_stores
-  let l1_misses r = r.rp_mem.Hierarchy.st_l1_misses
   let l2_misses r = r.rp_mem.Hierarchy.st_l2_misses
-  let l3_misses r = r.rp_mem.Hierarchy.st_l3_misses
-  let dram_lines r = r.rp_mem.Hierarchy.st_dram_lines
   let sw_issued r = r.rp_mem.Hierarchy.st_sw_issued
   let sw_dropped r = r.rp_mem.Hierarchy.st_sw_dropped
   let sw_useful r = r.rp_mem.Hierarchy.st_sw_useful

@@ -28,7 +28,7 @@ type report = {
 }
 
 (** The execution engine: the tree-walking interpreter ({!Interp}) or
-    the flat-bytecode engine with superinstruction fusion ({!Bytecode}).
+    the flat-bytecode engine ({!Bytecode}).
     They are cycle-exact and value-exact drop-ins for each other
     (differential-tested), so the choice is purely a host-speed
     trade-off. *)
@@ -122,10 +122,7 @@ module Report : sig
   val op_misses : t -> op_miss list
   val demand_loads : t -> int
   val demand_stores : t -> int
-  val l1_misses : t -> int
   val l2_misses : t -> int
-  val l3_misses : t -> int
-  val dram_lines : t -> int
   val sw_issued : t -> int
   val sw_dropped : t -> int
   val sw_useful : t -> int

@@ -16,9 +16,6 @@ type t
     one branch per access. *)
 val create : ?obs:Asap_obs.Sink.t -> Machine.t -> t
 
-(** The provenance id of software prefetches in the accuracy counters. *)
-val sw_prov : int
-
 (** [load t ~core ~pc ~addr ~at] performs a demand load issued at cycle
     [at]; returns the cycle the data is ready. *)
 val load : t -> core:int -> pc:int -> addr:int -> at:int -> int

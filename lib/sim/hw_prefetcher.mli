@@ -15,12 +15,6 @@ type level = L1 | L2 | L3
 
 (** {1 Prefetcher ids (accuracy-counter indices)} *)
 
-val id_l1_nlp : int
-val id_l1_ipp : int
-val id_l2_nlp : int
-val id_mlc : int
-val id_amp : int
-val id_llc : int
 val n_ids : int
 val name_of_id : int -> string
 

@@ -7,12 +7,6 @@ let create dims =
   let total = Array.fold_left ( * ) 1 dims in
   { dims = Array.copy dims; data = Array.make total 0. }
 
-let of_array dims data =
-  let total = Array.fold_left ( * ) 1 dims in
-  if Array.length data <> total then
-    invalid_arg "Dense.of_array: data length does not match dims";
-  { dims = Array.copy dims; data }
-
 let init dims f =
   let t = create dims in
   (match Array.length dims with
@@ -29,9 +23,7 @@ let init dims f =
    | _ -> invalid_arg "Dense.init: rank > 2 unsupported");
   t
 
-let get1 t i = t.data.(i)
 let get2 t i j = t.data.((i * t.dims.(1)) + j)
-let set1 t i v = t.data.(i) <- v
 let set2 t i j v = t.data.((i * t.dims.(1)) + j) <- v
 
 let copy t = { dims = Array.copy t.dims; data = Array.copy t.data }

@@ -5,17 +5,11 @@ type t = { dims : int array; data : float array }
 
 val create : int array -> t
 
-(** [of_array dims data] wraps existing data.
-    @raise Invalid_argument on size mismatch. *)
-val of_array : int array -> float array -> t
-
 (** [init dims f] builds a rank-1 or rank-2 tensor from a coordinate
     function. *)
 val init : int array -> (int array -> float) -> t
 
-val get1 : t -> int -> float
 val get2 : t -> int -> int -> float
-val set1 : t -> int -> float -> unit
 val set2 : t -> int -> int -> float -> unit
 val copy : t -> t
 val fill : t -> float -> unit

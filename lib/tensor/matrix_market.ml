@@ -121,9 +121,13 @@ let read path =
       let lines = In_channel.input_lines ic in
       of_lines (List.to_seq lines))
 
-(** [to_string coo] writes general real coordinate format. *)
+(** [to_string coo] writes general real coordinate format. The reader
+    rejects duplicate coordinates, so entries are written sorted with
+    duplicates summed in element order — as {!Coo.to_dense} and the pack
+    sum them. *)
 let to_string (coo : Coo.t) =
   if Coo.rank coo <> 2 then invalid_arg "Matrix_market.to_string: not a matrix";
+  let coo = Coo.sorted_dedup coo in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "%%MatrixMarket matrix coordinate real general\n";
   Buffer.add_string buf

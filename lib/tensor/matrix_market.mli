@@ -7,20 +7,18 @@
 
 exception Parse_error of string
 
-(** [of_lines lines] parses the line sequence of a .mtx file. Accepts
-    CRLF line endings, leading/trailing whitespace, and blank or
-    comment lines anywhere after the header; rejects duplicate
-    coordinates (including duplicates produced by symmetry expansion).
+(** [of_string s] parses in-memory .mtx text. Accepts CRLF line endings,
+    leading/trailing whitespace, and blank or comment lines anywhere
+    after the header; rejects duplicate coordinates (including
+    duplicates produced by symmetry expansion).
     @raise Parse_error on malformed input. *)
-val of_lines : string Seq.t -> Coo.t
-
-(** [of_string s] parses in-memory .mtx text. *)
 val of_string : string -> Coo.t
 
-(** [read path] parses the file at [path]. *)
+(** [read path] parses the file at [path], as {!of_string}. *)
 val read : string -> Coo.t
 
-(** [to_string coo] renders general real coordinate format.
+(** [to_string coo] renders general real coordinate format, sorted,
+    with duplicate coordinates summed in element order.
     @raise Invalid_argument if [coo] is not rank 2. *)
 val to_string : Coo.t -> string
 

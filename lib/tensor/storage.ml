@@ -19,8 +19,6 @@ type t = {
   vals : float array;
 }
 
-let nnz_of t = Array.length t.vals
-
 (* [pack_plain enc coo] sorts, deduplicates and serialises [coo].
 
    The construction sweeps levels top-down over the sorted element

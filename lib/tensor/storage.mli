@@ -17,10 +17,6 @@ type t = {
   vals : float array;          (** one value per leaf node *)
 }
 
-(** [nnz_of t] is the number of stored leaves (including explicit zeros of
-    dense leaf levels). *)
-val nnz_of : t -> int
-
 (** [pack enc coo] sorts, deduplicates and serialises [coo] under [enc].
 
     Linear in nnz: {!Coo.sorted_dedup}'s radix sort in the encoding's

@@ -46,9 +46,6 @@ val tensor3 : seed:int -> dims:int array -> nnz:int -> unit -> Coo.t
 val heavy_tail :
   seed:int -> rows:int -> cols:int -> nnz:int -> hubs:int -> unit -> Coo.t
 
-(** The grammar accepted by {!of_spec}, for error messages and docs. *)
-val spec_grammar : string
-
 (** [of_spec s] builds the matrix named by a spec string of the form
     ["kind:arg,arg\[@seed\]"] (e.g. ["powerlaw:100000,8"],
     ["tensor3:64,64,64,20000@7"]; seed defaults to 1). Deterministic:

@@ -7,8 +7,6 @@ type t
 
 val create : int -> t
 
-val next_int64 : t -> int64
-
 (** [int t n] is uniform in [0, n). @raise Invalid_argument if [n <= 0]. *)
 val int : t -> int -> int
 

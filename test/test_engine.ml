@@ -2,10 +2,9 @@
    tree-walking interpreter (Interp): both must agree cycle-exactly and
    value-exactly on every kernel, format and prefetch variant, single-
    and multi-core, and must raise identical traps and faults on the same
-   inputs. The bytecode engine's superinstruction fusion is additionally
-   checked fused-vs-unfused. Also checks that the benchmark grid's
-   domain-parallel prewarm reproduces sequential measurements bit for
-   bit. *)
+   inputs, also under a memory port with address-dependent latencies.
+   Also checks that the benchmark grid's domain-parallel prewarm
+   reproduces sequential measurements bit for bit. *)
 
 module Ir = Asap_ir.Ir
 module Builder = Asap_ir.Builder
@@ -17,6 +16,7 @@ module Exec = Asap_sim.Exec
 module Interp = Asap_sim.Interp
 module Bytecode = Asap_sim.Bytecode
 module Runtime = Asap_sim.Runtime
+module Specialize = Asap_sim.Specialize
 module Pipeline = Asap_core.Pipeline
 module Bindings = Asap_core.Bindings
 module Driver = Asap_core.Driver
@@ -272,52 +272,52 @@ let test_carried_values () =
   check "carried: bytecode report" true (r_i = r_b);
   check "carried: bytecode out" true (out_i = out_b)
 
-(* --- Superinstruction fusion ------------------------------------------ *)
+(* --- Variable-latency differential ------------------------------------ *)
 
-let test_fusion_cycle_exact () =
-  (* CSR SpMV — the shape the LD2/LDFMA/POS2FOR superinstructions target.
-     Fused and unfused bytecode must produce identical results and cycle
-     counts (against a memory port with address-dependent latencies, so
-     any divergence in issue/retire order shows up), both matching the
-     interpreter. *)
+let test_variable_latency () =
+  (* Bytecode must equal the interpreter, report and output, against a
+     memory port with address-dependent latencies, so any divergence in
+     issue/retire order shows up. CSR SpMV covers the compressed-level
+     loops; specialized bsr2x2 SpMV covers loops whose bounds are literal
+     constants (baked into the bytecode loop table). *)
   let coo = small_matrix 27 in
-  let enc = Encoding.csr () in
-  let st = Storage.pack enc coo in
-  let compiled = Pipeline.compile (Kernel.spmv ~enc ()) Pipeline.Baseline in
-  let fn = compiled.Pipeline.fn in
   let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-  let scalars = Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |] in
   let mem =
     { Interp.m_load = (fun ~pc:_ ~addr ~at -> at + 2 + (addr land 31));
       m_store = (fun ~pc:_ ~addr:_ ~at:_ -> ());
       m_prefetch = (fun ~addr:_ ~locality:_ ~at:_ -> ()) }
   in
-  let fresh () =
-    let out = Array.make rows 0. in
-    let dense =
-      [ ("c", Runtime.RF (Array.init cols (fun j -> float_of_int (j mod 7))));
-        ("a", Runtime.RF out) ]
+  let case name enc ~specialize =
+    let st = Storage.pack enc coo in
+    let compiled = Pipeline.compile (Kernel.spmv ~enc ()) Pipeline.Baseline in
+    let scalars =
+      Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |]
     in
-    let bufs =
-      Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense
+    let fn = compiled.Pipeline.fn in
+    let fn =
+      if specialize then fst (Specialize.apply (Specialize.make ~scalars ()) fn)
+      else fn
     in
-    (Runtime.layout fn bufs, out)
+    let fresh () =
+      let out = Array.make rows 0. in
+      let dense =
+        [ ("c", Runtime.RF (Array.init cols (fun j -> float_of_int (j mod 7))));
+          ("a", Runtime.RF out) ]
+      in
+      let bufs =
+        Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense
+      in
+      (Runtime.layout fn bufs, out)
+    in
+    let bound_i, out_i = fresh () in
+    let r_i = Interp.run fn ~bufs:bound_i ~scalars ~mem in
+    let bound_b, out_b = fresh () in
+    let r_b = Bytecode.run (Bytecode.compile fn ~bufs:bound_b) ~scalars ~mem in
+    check (name ^ ": bytecode report = interp") true (r_b = r_i);
+    check (name ^ ": bytecode output = interp") true (out_b = out_i)
   in
-  let bound_i, out_i = fresh () in
-  let r_i = Interp.run fn ~bufs:bound_i ~scalars ~mem in
-  let bound_f, out_f = fresh () in
-  let p_fused = Bytecode.compile fn ~bufs:bound_f in
-  let r_f = Bytecode.run p_fused ~scalars ~mem in
-  let bound_u, out_u = fresh () in
-  let p_unfused = Bytecode.compile ~fuse:false fn ~bufs:bound_u in
-  let r_u = Bytecode.run p_unfused ~scalars ~mem in
-  check "fusion: superinstructions emitted" true
-    (Bytecode.fused_count p_fused > 0);
-  check "fusion: unfused has none" true (Bytecode.fused_count p_unfused = 0);
-  check "fusion: fused = interp" true (r_f = r_i);
-  check "fusion: unfused = interp" true (r_u = r_i);
-  check "fusion: fused output" true (out_f = out_i);
-  check "fusion: unfused output" true (out_u = out_i)
+  case "csr" (Encoding.csr ()) ~specialize:false;
+  case "specialized bsr2x2" (Encoding.bsr ~bh:2 ~bw:2 ()) ~specialize:true
 
 (* --- Pipeline passes -------------------------------------------------- *)
 
@@ -462,7 +462,8 @@ let suite =
       test_multicore_deterministic;
     Alcotest.test_case "trap and fault parity" `Quick test_trap_fault_parity;
     Alcotest.test_case "carried values" `Quick test_carried_values;
-    Alcotest.test_case "fusion cycle-exact" `Quick test_fusion_cycle_exact;
+    Alcotest.test_case "variable-latency differential" `Quick
+      test_variable_latency;
     Alcotest.test_case "pipeline pass differential" `Quick
       test_differential_pipeline;
     Alcotest.test_case "pipeline matches variant" `Quick

@@ -30,8 +30,8 @@ let gen spec =
   | Error e -> Alcotest.fail e
 
 (* Pinned calibration subset: small enough for CI, spanning both sides
-   of the rollback knee and both distance rungs (tools/fit_cost_model.ml
-   validates the full suite). *)
+   of the rollback knee and both distance rungs (bench/main.exe check
+   tune validates the full suite). *)
 let irregular_specs =
   [ "powerlaw:400,5"; "uniform:300,1200"; "road:2000,3";
     "uniform:2500,12000" ]
