@@ -297,6 +297,31 @@ let engine () =
   in
   let ti, ii = micro `Interp in
   let tb, ib = micro `Bytecode in
+  (* The hierarchy on its own: one run's memory-port stream, recorded
+     once, replayed into fresh hierarchies (median of 5 replays after one
+     untimed); exact when every ready cycle and the statistics repeat. *)
+  let hier_replay scenario machine variant spec coo =
+    let r =
+      Hier_replay.record machine (fun obs ->
+          (Driver.run (Driver.Cfg.make ~obs ~machine ~variant ()) spec coo)
+            .Driver.report.Exec.rp_mem)
+    in
+    let exact = ref (Hier_replay.replay r) in
+    let wall =
+      Harness.measure_wall ~warmup:0 ~reps:5 (fun () ->
+          if not (Hier_replay.replay r) then exact := false)
+    in
+    let scenario = "hier_replay_" ^ scenario in
+    [ row scenario "exact" "bool" Virtual (flag !exact) ?gate:holds_true;
+      row scenario "accesses" "count" Virtual (count r.Hier_replay.n);
+      row scenario "ns_per_access" "ns" Host
+        (wall *. 1e9 /. count r.Hier_replay.n) ]
+  in
+  let replays =
+    hier_replay "spmv_powerlaw_60000" machine asap (Driver.Spmv enc) coo
+    @ hier_replay "sddmm_csr_powerlaw_3000" machine asap
+        (Driver.Sddmm enc) (matrix "powerlaw:3000,6")
+  in
   let g = "fig6_quick" and m = "spmv_powerlaw_60000"
   and p = "pack_powerlaw_60000" in
   [ row g "tables_identical" "bool" Virtual (flag (interp = bytecode))
@@ -313,6 +338,7 @@ let engine () =
   @ walls m (count ib /. 1e6) ti tb
   @ [ row p "ns_per_nnz" "ns" Host pack_ns_per_nnz
         ?gate:(gate ~regress:true Le max_regress) ]
+  @ replays
 
 (* --- serve: hot/cold replay, cache on vs off ------------------------- *)
 

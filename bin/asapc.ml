@@ -168,7 +168,12 @@ let matrix_args =
   in
   let build mtx gen =
     match (mtx, gen) with
-    | Some path, None -> Ok (Matrix_market.read path)
+    | Some path, None ->
+      (match Matrix_market.read path with
+       | coo -> Ok coo
+       | exception Matrix_market.Parse_error e ->
+         Error (`Msg (Printf.sprintf "%s: %s" path e))
+       | exception Sys_error e -> Error (`Msg e))
     | None, Some spec ->
       (match Generate.of_spec spec with
        | Ok coo -> Ok coo
@@ -366,6 +371,8 @@ let gen_cmd =
          & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output .mtx path.")
   in
   let run coo out =
+    (* The file holds the matrix with duplicates summed; report that. *)
+    let coo = Coo.sorted_dedup coo in
     Matrix_market.write out coo;
     Printf.printf "wrote %s (%d x %d, %d nnz)\n" out coo.Coo.dims.(0)
       coo.Coo.dims.(1) (Coo.nnz coo)

@@ -136,6 +136,9 @@ module Prep = struct
     p_nnz : int;
     p_out_f : float array option;
     p_out_b : Bytes.t option;
+    mutable p_written : bool;
+      (* the outputs may hold a run's results: [make] allocates them
+         zeroed, so the first [exec] skips the zeroing *)
   }
 
   let make (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : t =
@@ -182,7 +185,7 @@ module Prep = struct
           compiled.Pipeline.fn ~bufs;
       p_scalars = scalars; p_threads = r.r_threads;
       p_outer_extent = coo.Coo.dims.(0); p_nnz = Coo.nnz coo;
-      p_out_f = out_f; p_out_b = out_b }
+      p_out_f = out_f; p_out_b = out_b; p_written = false }
 
   (** [exec ?obs p] re-runs the prepared kernel; [obs] overrides the
       configuration's sink for this run only. The result's [out_f]/[out_b]
@@ -191,8 +194,11 @@ module Prep = struct
       next [exec] on the same [p]. *)
   let exec ?obs (p : t) : result =
     let obs = Option.value obs ~default:p.p_obs in
-    Option.iter (fun o -> Array.fill o 0 (Array.length o) 0.) p.p_out_f;
-    Option.iter (fun o -> Bytes.fill o 0 (Bytes.length o) '\000') p.p_out_b;
+    if p.p_written then begin
+      Option.iter (fun o -> Array.fill o 0 (Array.length o) 0.) p.p_out_f;
+      Option.iter (fun o -> Bytes.fill o 0 (Bytes.length o) '\000') p.p_out_b
+    end;
+    p.p_written <- true;
     let report =
       if p.p_threads <= 1 then
         Exec.run_prepared ~obs p.p_prepared ~scalars:p.p_scalars

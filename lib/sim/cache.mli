@@ -3,24 +3,10 @@
     Only tags are modelled (data correctness is the interpreter's job).
     Each line remembers its provenance — demand fill or the id of the
     prefetcher that brought it in — so prefetch-accuracy counters can tell
-    useful prefetches from pollution. *)
+    useful prefetches from pollution. Each set keeps its lines in recency
+    order, one packed int per way (see cache.ml). *)
 
-type t = {
-  name : string;
-  sets : int;
-  ways : int;
-  line_bits : int;
-  block : int;                 (** ways * 3: ints of metadata per set *)
-  meta : int array;
-    (** [sets*ways*3]; per way [tag; last_use; prov] interleaved so one
-        simulated set probe touches one contiguous host block (tag state
-        for a large L3 is hundreds of KiB — three parallel arrays cost
-        three cold host-memory touches per random access) *)
-  mutable stamp : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable pf_hits : int;       (** demand hits on prefetched lines *)
-}
+type t
 
 (** Provenance value of demand-fetched lines. *)
 val demand_prov : int
@@ -33,17 +19,31 @@ val no_hit : int
     @raise Invalid_argument unless [line_bytes] is a power of two. *)
 val line_shift : line_bytes:int -> int
 
-(** [create ~name ~size_bytes ~ways ~line_bytes] builds a tag store.
-    @raise Invalid_argument unless sets are a power of two. *)
-val create : name:string -> size_bytes:int -> ways:int -> line_bytes:int -> t
+(** [create ~size_bytes ~ways ~line_bytes] builds an empty tag store.
+    @raise Invalid_argument unless sets are a power of two and lines are
+    at least 16 bytes. *)
+val create : size_bytes:int -> ways:int -> line_bytes:int -> t
 
-(** [lookup t line] checks for [line], updating LRU and counters; returns
+(** [clear t] empties [t]: the state {!create} returns. *)
+val clear : t -> unit
+
+(** [lookup t line] checks for [line], updating LRU; returns
     the line's provenance on a hit (cleared to demand after first use),
     [no_hit] on a miss. *)
 val lookup : t -> int -> int
 
 (** [probe t line] tests presence without touching LRU or counters. *)
 val probe : t -> int -> bool
+
+(** [find t line] is the index of [line]'s entry, or -1 when absent;
+    like [probe], it touches nothing. The index stays valid until the
+    next change to [line]'s set. *)
+val find : t -> int -> int
+
+(** [touch t line i] makes [line], found at index [i] by {!find} with its
+    set unchanged since, the most recently used line of its set; its
+    provenance is kept. *)
+val touch : t -> int -> int -> unit
 
 (** [insert t line ~prov] installs [line], evicting the LRU way; refreshes
     LRU if already present. *)
@@ -55,8 +55,6 @@ val insert : t -> int -> prov:int -> unit
 val insert_evict : t -> int -> prov:int -> int
 
 (** [insert_absent t line ~prov] is [insert_evict] for a line the caller
-    has just observed missing from [t] (and nothing since the miss could
-    have installed it): skips the presence re-scan. *)
+    knows to be absent from [t] (observed missing, and nothing since
+    could have installed it): skips the presence scan. *)
 val insert_absent : t -> int -> prov:int -> int
-
-val accesses : t -> int

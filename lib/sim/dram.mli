@@ -18,4 +18,6 @@ val create : latency:int -> gap:int -> t
     returns the completion cycle. *)
 val fill : t -> at:int -> int
 
+(** [reset t] idles the channel and zeroes its counter: the state
+    {!create} returns. *)
 val reset : t -> unit

@@ -177,7 +177,11 @@ let run_prepared ?obs ?slice (p : prepared) ~(scalars : int list) : report =
           Hierarchy.prefetch hier ~core:0 ~addr ~locality ~at) }
   in
   let r = run_core ?slice p ~scalars ~mem in
-  aggregate p.pr_machine 1 p.pr_fn [| r |] (Hierarchy.stats hier)
+  let report =
+    aggregate p.pr_machine 1 p.pr_fn [| r |] (Hierarchy.stats hier)
+  in
+  Hierarchy.release hier;
+  report
 
 (** [run ?slice machine fn ~bufs ~scalars] executes [fn] on one core;
     [slice] restricts the outermost loop's range (used by profiling). *)
@@ -205,7 +209,9 @@ let run_parallel ?obs (p : prepared) ~threads ~outer_extent
     Multicore.run hier ~slices ~core_run:(fun ~slice ~mem ->
         run_core ~slice p ~scalars ~mem)
   in
-  aggregate machine threads p.pr_fn rs (Hierarchy.stats hier)
+  let report = aggregate machine threads p.pr_fn rs (Hierarchy.stats hier) in
+  Hierarchy.release hier;
+  report
 
 (* Derived metrics (paper §5). *)
 

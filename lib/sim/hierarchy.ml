@@ -40,8 +40,8 @@ type t = {
   dram : Dram.t;
   (* Observability: hierarchy code tests [obs_on] (a plain bool) before
      building any event, so a null sink costs one branch per access. *)
-  obs : Sink.t;
-  obs_on : bool;
+  mutable obs : Sink.t;
+  mutable obs_on : bool;
   (* Scratch buffers the prefetchers write their requested lines into —
      the per-access observation path allocates nothing. [pf_out] serves
      the demand-level firing; [pf_out_nested] serves the L2 observation
@@ -70,23 +70,21 @@ type t = {
   mutable pc_l2_miss : int array;
 }
 
-let create ?(obs = Sink.null) (cfg : Machine.t) : t =
+let alloc (cfg : Machine.t) : t =
   let line = cfg.Machine.line_bytes in
-  let mk_l1 c =
-    Cache.create ~name:(Printf.sprintf "L1-%d" c)
-      ~size_bytes:(cfg.Machine.l1_kb * 1024) ~ways:cfg.Machine.l1_ways
-      ~line_bytes:line
+  let mk_l1 _ =
+    Cache.create ~size_bytes:(cfg.Machine.l1_kb * 1024)
+      ~ways:cfg.Machine.l1_ways ~line_bytes:line
   in
   let mk_l1_pfs _ =
     List.concat
       [ (if cfg.Machine.hw.Machine.l1_nlp then [ Hp.l1_nlp () ] else []);
         (if cfg.Machine.hw.Machine.l1_ipp then [ Hp.l1_ipp () ] else []) ]
   in
-  let mk_cluster k =
+  let mk_cluster _ =
     { l2 =
-        Cache.create ~name:(Printf.sprintf "L2-%d" k)
-          ~size_bytes:(cfg.Machine.l2_kb * 1024) ~ways:cfg.Machine.l2_ways
-          ~line_bytes:line;
+        Cache.create ~size_bytes:(cfg.Machine.l2_kb * 1024)
+          ~ways:cfg.Machine.l2_ways ~line_bytes:line;
       mshr = Mshr.create cfg.Machine.mshrs;
       l2_pfs =
         List.concat
@@ -105,14 +103,14 @@ let create ?(obs = Sink.null) (cfg : Machine.t) : t =
       Array.init cfg.Machine.cores (fun c ->
           clusters.(c / cfg.Machine.cores_per_cluster));
     l3 =
-      Cache.create ~name:"L3" ~size_bytes:(cfg.Machine.l3_kb * 1024)
+      Cache.create ~size_bytes:(cfg.Machine.l3_kb * 1024)
         ~ways:cfg.Machine.l3_ways ~line_bytes:line;
     l3_pfs =
       (if cfg.Machine.hw.Machine.llc_streamer then [ Hp.llc_streamer () ]
        else []);
     dram = Dram.create ~latency:cfg.Machine.dram_latency
         ~gap:cfg.Machine.dram_gap;
-    obs; obs_on = obs.Sink.enabled;
+    obs = Sink.null; obs_on = false;
     pf_out = Array.make Hp.max_requests 0;
     pf_out_nested = Array.make Hp.max_requests 0;
     pf_issued = Array.make n_prov 0;
@@ -124,6 +122,61 @@ let create ?(obs = Sink.null) (cfg : Machine.t) : t =
     sw_dropped = 0; demand_loads = 0; demand_stores = 0;
     l1_demand_misses = 0; l2_demand_misses = 0; l3_demand_misses = 0;
     pc_l1_miss = Array.make 64 0; pc_l2_miss = Array.make 64 0 }
+
+(* Every mutable part of [t] back to the state [alloc] returns, with
+   [obs] as the sink. *)
+let clear t ~obs =
+  Array.iter Cache.clear t.l1s;
+  Array.iter (List.iter Hp.clear) t.l1_pfs;
+  Array.iter
+    (fun cl ->
+      Cache.clear cl.l2;
+      Mshr.clear cl.mshr;
+      List.iter Hp.clear cl.l2_pfs)
+    t.clusters;
+  Cache.clear t.l3;
+  List.iter Hp.clear t.l3_pfs;
+  Dram.reset t.dram;
+  t.obs <- obs;
+  t.obs_on <- obs.Sink.enabled;
+  List.iter
+    (fun a -> Array.fill a 0 (Array.length a) 0)
+    [ t.pf_issued; t.pf_useful; t.pf_drop_mshr; t.pf_drop_present;
+      t.pf_late; t.pf_evicted; t.pc_l1_miss; t.pc_l2_miss ];
+  t.sw_dropped <- 0;
+  t.demand_loads <- 0;
+  t.demand_stores <- 0;
+  t.l1_demand_misses <- 0;
+  t.l2_demand_misses <- 0;
+  t.l3_demand_misses <- 0
+
+(* Hierarchies released after a run, most recent first, at most
+   [max_spares] per domain. [create] clears one built for an equal
+   machine instead of allocating again: the scaled machine's tag arrays
+   are about 210 KiB, and where every op is a fresh small run
+   (small-kernels, serve builds) allocating them drove most of the major
+   GC work. A domain's spares are its own, so no two runs share one. *)
+let spares : t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+let max_spares = 4
+
+let create ?(obs = Sink.null) (cfg : Machine.t) : t =
+  let rec take seen = function
+    | [] -> alloc cfg
+    | t :: rest when t.cfg = cfg ->
+      Domain.DLS.set spares (List.rev_append seen rest);
+      t
+    | t :: rest -> take (t :: seen) rest
+  in
+  let t = take [] (Domain.DLS.get spares) in
+  clear t ~obs;
+  t
+
+let release t =
+  (* Drop the sink now: it may hold a whole trace. *)
+  t.obs <- Sink.null;
+  t.obs_on <- false;
+  Domain.DLS.set spares
+    (t :: List.filteri (fun i _ -> i < max_spares - 1) (Domain.DLS.get spares))
 
 let cluster_of t core = t.cluster_of_core.(core)
 
@@ -155,28 +208,48 @@ let bump_pc t which pc =
    tagged with bits >= 0x10000 (see Interp/Compile) and are excluded. *)
 let attributable pc = pc >= 0 && pc < 0x10000
 
-(* Install a line at [level] and the levels outward of it (inclusive L3).
-   The provenance tag is set only at the innermost level installed so that
-   a prefetched line counts as useful at most once; each eviction of a
-   still-tagged (never-used) prefetched victim is counted. *)
-let install t ~core ~prov ~level line =
-  let cl = cluster_of t core in
-  (match level with
-   | Hp.L1 ->
-     note_evict t (Cache.insert_evict t.l1s.(core) line ~prov);
-     note_evict t (Cache.insert_evict cl.l2 line ~prov:Cache.demand_prov);
-     note_evict t (Cache.insert_evict t.l3 line ~prov:Cache.demand_prov)
-   | Hp.L2 ->
-     note_evict t (Cache.insert_evict cl.l2 line ~prov);
-     note_evict t (Cache.insert_evict t.l3 line ~prov:Cache.demand_prov)
-   | Hp.L3 -> note_evict t (Cache.insert_evict t.l3 line ~prov))
+(* What a fill knows of [line] at one cache level: absent (a search
+   found no line and nothing since could have installed it), found at a
+   [Cache.find] index that is still valid, or [unknown]. *)
+let absent = -1
+let unknown = -2
+
+(* Installs [line] in [c] with [prov] as [known] allows: [insert_absent]
+   without a search, [touch] at the found index (nothing is evicted, so
+   nothing to count), or a full [insert_evict]. Counts the eviction of a
+   still-tagged (never-used) prefetched victim. *)
+let place t c line ~prov known =
+  if known >= 0 then Cache.touch c line known
+  else if known = absent then note_evict t (Cache.insert_absent c line ~prov)
+  else note_evict t (Cache.insert_evict c line ~prov)
+
+(* Installs [line] at [level] and at every level outward of it (the L3 is
+   inclusive), tagged with [prov] only at [level] so that a prefetched
+   line counts as useful at most once. *)
+let install t ~core ~prov ~level line ~known2 ~known3 =
+  let cl = cluster_of t core and demand = Cache.demand_prov in
+  match level with
+  | Hp.L1 ->
+    place t t.l1s.(core) line ~prov absent;
+    place t cl.l2 line ~prov:demand known2;
+    place t t.l3 line ~prov:demand known3
+  | Hp.L2 ->
+    place t cl.l2 line ~prov known2;
+    place t t.l3 line ~prov:demand known3
+  | Hp.L3 -> place t t.l3 line ~prov known3
 
 (* Bring [line] in from wherever it is, without waiting (prefetch / store
    fill). Returns true if a request was actually issued somewhere.
 
    An L1-level fill that misses L1 traverses the L2, so the L2-level
    prefetchers observe it exactly as real hardware's do — without this, an
-   enabled L1 NLP would hide every stream from the MLC streamer. *)
+   enabled L1 NLP would hide every stream from the MLC streamer.
+
+   Each level is searched once, and the install reuses what the search
+   learnt. Only the nested L2 observation runs between a search and the
+   install; its fills can evict [line] from L2 or L3 but never install it
+   (no prefetcher requests the line it observes), so absence survives it
+   and a found L2 index does not. *)
 let rec fetch_line t ~core ~prov ~level ~at line =
   let cl = cluster_of t core in
   Mshr.expire cl.mshr ~now:at;
@@ -197,20 +270,29 @@ let rec fetch_line t ~core ~prov ~level ~at line =
     false
   end
   else begin
-    let in_l2 = Cache.probe cl.l2 line in
-    (match level with
-     | Hp.L1 ->
-       if cl.l2_pfs <> [] then
-         (* The nested scratch buffer: [pf_out] may still be mid-drain in
-            the [issue_requests] walk that called us. The L2 units only
-            request L2-level fills, so this never nests further. *)
-         fire_pfs t ~core ~at ~buf:t.pf_out_nested cl.l2_pfs
-           ~pc:(prov lor 0x40000) ~addr:(line lsl t.line_shift) ~line
-           ~hit:in_l2
-     | Hp.L2 | Hp.L3 -> ());
-    if in_l2 || Cache.probe t.l3 line then begin
+    (* An L2 fill has just seen L2 without the line. *)
+    let i2 =
+      match level with Hp.L2 -> absent | Hp.L1 | Hp.L3 -> Cache.find cl.l2 line
+    in
+    let nested = level = Hp.L1 && cl.l2_pfs <> [] in
+    if nested then
+      (* The nested scratch buffer: [pf_out] may still be mid-drain in
+         the [issue_requests] walk that called us. The L2 units only
+         request L2-level fills, so this never nests further. *)
+      fire_pfs t ~core ~at ~buf:t.pf_out_nested cl.l2_pfs
+        ~pc:(prov lor 0x40000) ~addr:(line lsl t.line_shift) ~line
+        ~hit:(i2 >= 0);
+    (* L3 is searched only when L2 missed; an L3 fill has just seen L3
+       without the line. *)
+    let i3 =
+      match level with
+      | Hp.L3 -> absent
+      | Hp.L1 | Hp.L2 -> if i2 >= 0 then unknown else Cache.find t.l3 line
+    in
+    if i2 >= 0 || i3 >= 0 then begin
       (* Move inward from L2/L3: cheap, no MSHR needed in this model. *)
-      install t ~core ~prov ~level line;
+      install t ~core ~prov ~level line
+        ~known2:(if nested && i2 >= 0 then unknown else i2) ~known3:i3;
       true
     end
     else if Mshr.full cl.mshr then begin
@@ -227,7 +309,7 @@ let rec fetch_line t ~core ~prov ~level ~at line =
     else begin
       let done_at = Dram.fill t.dram ~at in
       Mshr.add ~prov cl.mshr line done_at;
-      install t ~core ~prov ~level line;
+      install t ~core ~prov ~level line ~known2:absent ~known3:absent;
       true
     end
   end
@@ -254,7 +336,7 @@ and fire_pfs t ~core ~at ~buf pfs ~pc ~addr ~line ~hit =
   match pfs with
   | [] -> ()
   | (pf : Hp.t) :: rest ->
-    let n = pf.Hp.pf_observe ~pc ~addr ~line ~hit ~out:buf in
+    let n = Hp.observe pf ~pc ~addr ~line ~hit ~out:buf in
     if n > 0 then
       issue_requests t ~core ~at ~src:pf.Hp.pf_id ~level:pf.Hp.pf_level
         ~buf 0 n;

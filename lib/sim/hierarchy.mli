@@ -16,6 +16,12 @@ type t
     one branch per access. *)
 val create : ?obs:Asap_obs.Sink.t -> Machine.t -> t
 
+(** [release t] hands [t] back once its run is over and its {!stats}
+    read: a later {!create} for an equal machine on the same domain may
+    clear and return it instead of allocating. [t] must not be used
+    after, nor released twice. *)
+val release : t -> unit
+
 (** [load t ~core ~pc ~addr ~at] performs a demand load issued at cycle
     [at]; returns the cycle the data is ready. *)
 val load : t -> core:int -> pc:int -> addr:int -> at:int -> int

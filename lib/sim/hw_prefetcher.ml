@@ -13,7 +13,7 @@
    strides and polluting on random ones.
 
    These run on every demand access, so the observation path is
-   allocation-free end to end: [pf_observe] writes target line addresses
+   allocation-free end to end: [observe] writes target line addresses
    into a caller-owned scratch buffer instead of returning a request list
    (the PR-5 allocation audit found the per-access event record plus the
    request cons cells cost ~9 heap words per simulated instruction — the
@@ -47,130 +47,99 @@ let slug_of_id = function
    largest default (streamer degree 4). *)
 let max_requests = 8
 
+(* The IPP's stream slots, five ints each in one array:
+   [pc; last address; stride; confidence; conflicts since last use]. *)
+let ipp_pc = 0
+let ipp_last = 1
+let ipp_stride = 2
+let ipp_conf = 3
+let ipp_used = 4
+let ipp_width = 5
+
+(* The streamer's table as parallel int arrays, so a search over the
+   pages is one contiguous scan, kept in least-recently-used order by a
+   doubly linked list over the entries ([newer]/[older], ends [mru] and
+   [lru]), so the victim of a new page is read off the list instead of
+   found by a scan for the oldest stamp. [memo] is the last entry found
+   or filled: page walks revisit the same entry for long runs, so it is
+   checked first. [bucket] counts the table's pages per [page land 63]:
+   a zero count proves a page absent without the scan (most new pages).
+   Pages in the table are unique (a page is only filled when absent), so
+   every search order finds the same entry. *)
+type streamer = {
+  pages : int array;
+  lasts : int array;           (* high-water line per page *)
+  confs : int array;
+  newer : int array;           (* next entry towards [mru]; -1 at the end *)
+  older : int array;           (* next entry towards [lru]; -1 at the end *)
+  mutable mru : int;
+  mutable lru : int;
+  bucket : int array;          (* 64 counts *)
+  mutable memo : int;
+  degree : int;
+}
+
+type kind =
+  | Nlp
+  | Ipp of { slots : int array; lookahead : int }
+  | Streamer of streamer
+  | Amp of { mutable last_line : int; mutable last_delta : int;
+             amp_degree : int }
+
 type t = {
   pf_id : int;
   pf_level : level;            (* where it observes and fills *)
-  pf_observe :
-    pc:int -> addr:int -> line:int -> hit:bool -> out:int array -> int;
+  kind : kind;
 }
+
+(* Empties a streamer's table. Fresh entries are used in index order:
+   entry 0 is the first victim, then 1, and so on, exactly as a scan for
+   the first oldest stamp over an all-zero stamp table would pick them. *)
+let clear_streamer st =
+  let n = Array.length st.pages in
+  Array.fill st.pages 0 n (-1);
+  Array.fill st.lasts 0 n (-1);
+  Array.fill st.confs 0 n 0;
+  for i = 0 to n - 1 do
+    st.newer.(i) <- (if i = n - 1 then -1 else i + 1);
+    st.older.(i) <- i - 1
+  done;
+  st.mru <- n - 1;
+  st.lru <- 0;
+  Array.fill st.bucket 0 64 0;
+  st.bucket.(63) <- n;                          (* every page is -1 *)
+  st.memo <- 0
+
+(** [clear t] forgets everything [t] has observed: the state its
+    constructor returns. *)
+let clear t =
+  match t.kind with
+  | Nlp -> ()
+  | Ipp { slots; _ } ->
+    Array.fill slots 0 (Array.length slots) 0;
+    for o = 0 to (Array.length slots / ipp_width) - 1 do
+      slots.((o * ipp_width) + ipp_pc) <- -1
+    done
+  | Streamer st -> clear_streamer st
+  | Amp a ->
+    a.last_line <- -1;
+    a.last_delta <- 0
 
 (** L1 next-line: on a miss, fetch the following line. *)
-let l1_nlp () =
-  { pf_id = id_l1_nlp; pf_level = L1;
-    pf_observe =
-      (fun ~pc:_ ~addr:_ ~line ~hit ~out ->
-        if hit then 0
-        else begin
-          out.(0) <- line + 1;
-          1
-        end) }
+let l1_nlp () = { pf_id = id_l1_nlp; pf_level = L1; kind = Nlp }
 
 (** L2 next-line (default off on the platform). *)
-let l2_nlp () =
-  { pf_id = id_l2_nlp; pf_level = L2;
-    pf_observe =
-      (fun ~pc:_ ~addr:_ ~line ~hit ~out ->
-        if hit then 0
-        else begin
-          out.(0) <- line + 1;
-          1
-        end) }
-
-type ipp_stream = {
-  mutable s_pc : int;
-  mutable s_last : int;
-  mutable s_stride : int;
-  mutable s_conf : int;
-  mutable s_used : int;
-}
-
-(* Top-level search loop: a nested [let rec] closing over the searched-for
-   pc would be rebuilt — a fresh heap closure — on every observation (the
-   PR-5 allocation audit measured it at ~6 words per L1 access). *)
-let rec find_pc (table : ipp_stream array) n pc i =
-  if i = n then -1
-  else if table.(i).s_pc = pc then i
-  else find_pc table n pc (i + 1)
+let l2_nlp () = { pf_id = id_l2_nlp; pf_level = L2; kind = Nlp }
 
 (** L1 instruction-pointer prefetcher: per-PC stride detection with a small
     stream capacity (the paper observes 2 concurrent streams, §3.2.1). *)
 let l1_ipp ?(streams = 2) ?(lookahead = 16) () =
-  let table =
-    Array.init streams (fun _ ->
-        { s_pc = -1; s_last = 0; s_stride = 0; s_conf = 0; s_used = 0 })
+  let t =
+    { pf_id = id_l1_ipp; pf_level = L1;
+      kind = Ipp { slots = Array.make (streams * ipp_width) 0; lookahead } }
   in
-  (* Hot path: runs on every L1 access, so the searches below are plain
-     index loops — no closures, options or refs. *)
-  let n = Array.length table in
-  (* Defined here (not inside observe) so the closure is built once. *)
-  let rec pick_victim i best =
-    if i = n then best
-    else
-      pick_victim (i + 1)
-        (if table.(i).s_conf < table.(best).s_conf then i else best)
-  in
-  { pf_id = id_l1_ipp; pf_level = L1;
-    pf_observe =
-      (fun ~pc ~addr ~line ~hit:_ ~out ->
-        let idx = find_pc table n pc 0 in
-        if idx < 0 then begin
-          (* Replacement with hysteresis: steal only a zero-confidence
-             slot, otherwise decay the weakest stream. Plain LRU would
-             thrash under the round-robin PC pattern of a loop body and
-             the unit would never lock onto any stream. *)
-          let v = table.(pick_victim 1 0) in
-          if v.s_conf = 0 then begin
-            v.s_pc <- pc;
-            v.s_last <- addr;
-            v.s_stride <- 0;
-            (* A fresh entry starts with one confidence point so it can
-               survive until its PC's next access. *)
-            v.s_conf <- 1;
-            v.s_used <- 0
-          end
-          else begin
-            (* Slow decay: one confidence point per 8 conflicting
-               accesses, so established streams survive a loop body's
-               other loads. *)
-            v.s_used <- v.s_used + 1;
-            if v.s_used mod 8 = 0 then v.s_conf <- v.s_conf - 1
-          end;
-          0
-        end
-        else begin
-          let s = table.(idx) in
-          s.s_used <- 0;
-          let d = addr - s.s_last in
-          if d = s.s_stride && d <> 0 then
-            s.s_conf <- (if s.s_conf < 4 then s.s_conf + 1 else 4)
-          else begin
-            s.s_stride <- d;
-            s.s_conf <- 1
-          end;
-          s.s_last <- addr;
-          if s.s_conf >= 2 then begin
-            let target = addr + (s.s_stride * lookahead) in
-            if target >= 0 && target asr 6 <> line then begin
-              out.(0) <- target asr 6;
-              1
-            end
-            else 0
-          end
-          else 0
-        end) }
-
-type stream_entry = {
-  mutable t_page : int;
-  mutable t_last : int;
-  mutable t_conf : int;
-  mutable t_used : int;
-}
-
-(* Top-level for the same reason as [find_pc]: no per-observation closure. *)
-let rec find_page (table : stream_entry array) n page i =
-  if i = n then -1
-  else if table.(i).t_page = page then i
-  else find_page table n page (i + 1)
+  clear t;
+  t
 
 (** Streaming prefetcher: forward line streams within a 4 KiB page,
     prefetching [degree] lines past the page's high-water mark.
@@ -179,78 +148,15 @@ let rec find_page (table : stream_entry array) n page i =
     reorders the miss stream. Instantiated at L2 (MLC streamer) and L3
     (LLC streamer). *)
 let streamer ~pf_id ~level ?(entries = 16) ?(degree = 4) () =
-  let degree = min degree max_requests in
-  let table =
-    Array.init entries (fun _ ->
-        { t_page = -1; t_last = -1; t_conf = 0; t_used = 0 })
+  let st =
+    { pages = Array.make entries 0; lasts = Array.make entries 0;
+      confs = Array.make entries 0; newer = Array.make entries 0;
+      older = Array.make entries 0; mru = 0; lru = 0;
+      bucket = Array.make 64 0; memo = 0; degree = min degree max_requests }
   in
-  let stamp = ref 0 in
-  (* Hot path: runs on every access at its level, so the table searches
-     are plain index loops and the burst is written straight into [out]
-     with only in-page lines (same lines, same order as a list build). *)
-  let n = Array.length table in
-  (* Last-hit memo: page walks revisit the same entry for long runs, so
-     checking it first skips the linear search on the common path (pure
-     host-speed memo — same entry is found either way). *)
-  let last_idx = ref 0 in
-  let rec pick_victim i best =
-    if i = n then best
-    else
-      pick_victim (i + 1)
-        (if table.(i).t_used < table.(best).t_used then i else best)
-  in
-  let rec put ~page ~from k (out : int array) w =
-    if k = 0 then w
-    else begin
-      let line = from + 1 in
-      if line asr 6 = page then begin
-        out.(w) <- line;
-        put ~page ~from:line (k - 1) out (w + 1)
-      end
-      else w
-    end
-  in
-  { pf_id; pf_level = level;
-    pf_observe =
-      (fun ~pc:_ ~addr:_ ~line ~hit:_ ~out ->
-        incr stamp;
-        let page = line asr 6 in
-        let idx =
-          if table.(!last_idx).t_page = page then !last_idx
-          else begin
-            let i = find_page table n page 0 in
-            if i >= 0 then last_idx := i;
-            i
-          end
-        in
-        if idx < 0 then begin
-          let vi = pick_victim 1 0 in
-          let v = table.(vi) in
-          last_idx := vi;
-          v.t_page <- page;
-          v.t_last <- line;
-          v.t_conf <- 0;
-          v.t_used <- !stamp;
-          0
-        end
-        else begin
-          let s = table.(idx) in
-          s.t_used <- !stamp;
-          let delta = line - s.t_last in
-          if delta > 0 && delta <= 4 then begin
-            s.t_conf <- (if s.t_conf < 4 then s.t_conf + 1 else 4);
-            s.t_last <- line
-          end
-          else if delta > 4 || delta < -4 then begin
-            s.t_conf <- 0;
-            s.t_last <- line
-          end;
-          (* Small backward jitter (delta in [-4, 0]) leaves the
-             high-water mark and confidence untouched. *)
-          if s.t_conf >= 1 && delta > 0 then
-            put ~page ~from:s.t_last degree out 0
-          else 0
-        end) }
+  let t = { pf_id; pf_level = level; kind = Streamer st } in
+  clear t;
+  t
 
 let mlc_streamer () = streamer ~pf_id:id_mlc ~level:L2 ()
 let llc_streamer () = streamer ~pf_id:id_llc ~level:L3 ~degree:4 ()
@@ -260,26 +166,184 @@ let llc_streamer () = streamer ~pf_id:id_llc ~level:L3 ~degree:4 ()
     occasional repeated delta produces pure pollution (the paper disables
     it for SpMV). *)
 let l2_amp ?(degree = 2) () =
-  let degree = min degree max_requests in
-  let last_line = ref (-1) and last_delta = ref 0 in
-  { pf_id = id_amp; pf_level = L2;
-    pf_observe =
-      (fun ~pc:_ ~addr:_ ~line ~hit:_ ~out ->
-        let d = line - !last_line in
-        let fire = !last_line >= 0 && d = !last_delta && d <> 0 in
-        last_delta := d;
-        last_line := line;
-        if fire then begin
-          (* Negative targets (a descending delta running past address 0)
-             are skipped, matching the old list build's filter. *)
-          let w = ref 0 in
-          for k = 1 to degree do
-            let target = line + (k * d) in
-            if target >= 0 then begin
-              out.(!w) <- target;
-              incr w
-            end
-          done;
-          !w
+  let t =
+    { pf_id = id_amp; pf_level = L2;
+      kind =
+        Amp { last_line = 0; last_delta = 0;
+              amp_degree = min degree max_requests } }
+  in
+  clear t;
+  t
+
+(* The searches below are top-level loops taking all their state as
+   arguments, so no observation allocates a closure. *)
+
+(* One pass over the IPP slots from offset [o]: the offset of the first
+   slot following [pc], or, when none does, [-1 - w] for the first slot
+   [w] of lowest confidence (the victim). *)
+let rec search_pc (slots : int array) pc o weakest =
+  if o = Array.length slots then -1 - weakest
+  else if Array.unsafe_get slots (o + ipp_pc) = pc then o
+  else
+    search_pc slots pc (o + ipp_width)
+      (if Array.unsafe_get slots (o + ipp_conf)
+          < Array.unsafe_get slots (weakest + ipp_conf)
+       then o else weakest)
+
+let rec find_int (a : int array) x i =
+  if i = Array.length a then -1
+  else if Array.unsafe_get a i = x then i
+  else find_int a x (i + 1)
+
+(* Makes entry [i] the most recently used. *)
+let use st i =
+  if st.mru <> i then begin
+    let n = st.newer.(i) and o = st.older.(i) in
+    st.older.(n) <- o;
+    if o >= 0 then st.newer.(o) <- n else st.lru <- n;
+    st.newer.(i) <- -1;
+    st.older.(i) <- st.mru;
+    st.newer.(st.mru) <- i;
+    st.mru <- i
+  end
+
+(* Writes up to [k] lines after [from] that stay in [page] into [out],
+   from index [w]; returns the new count. *)
+let rec put ~page ~from k (out : int array) w =
+  if k = 0 then w
+  else begin
+    let line = from + 1 in
+    if line asr 6 = page then begin
+      out.(w) <- line;
+      put ~page ~from:line (k - 1) out (w + 1)
+    end
+    else w
+  end
+
+let observe_ipp slots lookahead ~pc ~addr ~line ~out =
+  let o = search_pc slots pc 0 0 in
+  if o < 0 then begin
+    (* Replacement with hysteresis: steal only a zero-confidence slot,
+       otherwise decay the weakest stream. Plain LRU would thrash under
+       the round-robin PC pattern of a loop body and the unit would never
+       lock onto any stream. *)
+    let v = -1 - o in
+    if slots.(v + ipp_conf) = 0 then begin
+      slots.(v + ipp_pc) <- pc;
+      slots.(v + ipp_last) <- addr;
+      slots.(v + ipp_stride) <- 0;
+      (* A fresh entry starts with one confidence point so it can
+         survive until its PC's next access. *)
+      slots.(v + ipp_conf) <- 1;
+      slots.(v + ipp_used) <- 0
+    end
+    else begin
+      (* Slow decay: one confidence point per 8 conflicting accesses, so
+         established streams survive a loop body's other loads. *)
+      let u = slots.(v + ipp_used) + 1 in
+      slots.(v + ipp_used) <- u;
+      if u land 7 = 0 then slots.(v + ipp_conf) <- slots.(v + ipp_conf) - 1
+    end;
+    0
+  end
+  else begin
+    slots.(o + ipp_used) <- 0;
+    let stride = slots.(o + ipp_stride) in
+    let d = addr - slots.(o + ipp_last) in
+    let conf =
+      if d = stride && d <> 0 then begin
+        let c = slots.(o + ipp_conf) in
+        if c < 4 then c + 1 else 4
+      end
+      else begin
+        slots.(o + ipp_stride) <- d;
+        1
+      end
+    in
+    slots.(o + ipp_conf) <- conf;
+    slots.(o + ipp_last) <- addr;
+    if conf >= 2 then begin
+      (* [conf >= 2] only after a repeated stride, so [d] is it. *)
+      let target = addr + (d * lookahead) in
+      if target >= 0 && target asr 6 <> line then begin
+        out.(0) <- target asr 6;
+        1
+      end
+      else 0
+    end
+    else 0
+  end
+
+let observe_streamer st ~line ~out =
+  let page = line asr 6 in
+  let idx =
+    if st.pages.(st.memo) = page then st.memo
+    else if st.bucket.(page land 63) = 0 then -1
+    else begin
+      let i = find_int st.pages page 0 in
+      if i >= 0 then st.memo <- i;
+      i
+    end
+  in
+  if idx < 0 then begin
+    let v = st.lru in
+    use st v;
+    st.memo <- v;
+    let old = st.pages.(v) land 63 in
+    st.bucket.(old) <- st.bucket.(old) - 1;
+    st.bucket.(page land 63) <- st.bucket.(page land 63) + 1;
+    st.pages.(v) <- page;
+    st.lasts.(v) <- line;
+    st.confs.(v) <- 0;
+    0
+  end
+  else begin
+    use st idx;
+    let delta = line - st.lasts.(idx) in
+    if delta > 0 && delta <= 4 then begin
+      let c = st.confs.(idx) in
+      st.confs.(idx) <- (if c < 4 then c + 1 else 4);
+      st.lasts.(idx) <- line
+    end
+    else if delta > 4 || delta < -4 then begin
+      st.confs.(idx) <- 0;
+      st.lasts.(idx) <- line
+    end;
+    (* Small backward jitter (delta in [-4, 0]) leaves the high-water
+       mark and confidence untouched. *)
+    if st.confs.(idx) >= 1 && delta > 0 then
+      put ~page ~from:st.lasts.(idx) st.degree out 0
+    else 0
+  end
+
+(** [observe t ~pc ~addr ~line ~hit ~out] feeds one access to [t]; see
+    the interface. *)
+let[@inline] observe t ~pc ~addr ~line ~hit ~out =
+  match t.kind with
+  | Nlp ->
+    if hit then 0
+    else begin
+      out.(0) <- line + 1;
+      1
+    end
+  | Ipp { slots; lookahead } -> observe_ipp slots lookahead ~pc ~addr ~line ~out
+  | Streamer st -> observe_streamer st ~line ~out
+  | Amp a ->
+    let d = line - a.last_line in
+    let fire = a.last_line >= 0 && d = a.last_delta && d <> 0 in
+    a.last_delta <- d;
+    a.last_line <- line;
+    if fire then begin
+      (* Negative targets (a descending delta running past address 0)
+         are skipped. *)
+      let w = ref 0 in
+      for k = 1 to a.amp_degree do
+        let target = line + (k * d) in
+        if target >= 0 then begin
+          out.(!w) <- target;
+          incr w
         end
-        else 0) }
+      done;
+      !w
+    end
+    else 0

@@ -6,7 +6,7 @@
     the resources the paper's §5.1 insight is about.
 
     The observation path runs on every demand access and is
-    allocation-free: {!t.pf_observe} writes target line addresses into a
+    allocation-free: {!observe} writes target line addresses into a
     caller-owned scratch buffer (see {!max_requests}) instead of
     returning a request list. Requests fill at the observing unit's own
     {!t.pf_level} and are attributed to its {!t.pf_id}. *)
@@ -26,16 +26,25 @@ val slug_of_id : int -> string
     passed as [out] must have at least this length. *)
 val max_requests : int
 
+(** A unit's table state. *)
+type kind
+
 type t = {
   pf_id : int;
   pf_level : level;            (** where it observes and fills *)
-  pf_observe :
-    pc:int -> addr:int -> line:int -> hit:bool -> out:int array -> int;
-    (** [pf_observe ~pc ~addr ~line ~hit ~out] feeds one demand access at
-        the unit's level ([hit] is the hit/miss outcome there) and writes
-        the target line addresses (all non-negative) of any fill requests
-        into [out.(0 .. n-1)], returning [n]. *)
+  kind : kind;
 }
+
+(** [observe t ~pc ~addr ~line ~hit ~out] feeds one demand access at the
+    unit's level ([hit] is the hit/miss outcome there) and writes the
+    target line addresses (all non-negative) of any fill requests into
+    [out.(0 .. n-1)], returning [n]. *)
+val observe :
+  t -> pc:int -> addr:int -> line:int -> hit:bool -> out:int array -> int
+
+(** [clear t] forgets everything [t] has observed: the state its
+    constructor returns. *)
+val clear : t -> unit
 
 (** L1 next-line: on a miss, fetch the following line (inaccurate on
     irregular streams; "Default On", disabled by the paper). *)
@@ -49,11 +58,8 @@ val l2_nlp : unit -> t
     §3.2.1) and replacement hysteresis. *)
 val l1_ipp : ?streams:int -> ?lookahead:int -> unit -> t
 
-(** Generic forward streamer within 4 KiB pages (high-water-mark based). *)
-val streamer :
-  pf_id:int -> level:level -> ?entries:int -> ?degree:int -> unit -> t
-
-(** Mid-level-cache streamer (into L2). *)
+(** Mid-level-cache streamer (into L2): forward line streams within a
+    4 KiB page, fetching 4 lines past the page's high-water mark. *)
 val mlc_streamer : unit -> t
 
 (** Last-level-cache streamer (into L3). *)

@@ -5,92 +5,90 @@
    are dropped — matching the hardware behaviour the paper's resource
    argument (§4.1) relies on.
 
-   The pool is consulted on every simulated memory access, so entries live
-   in two parallel int arrays (no pointer chasing) and [expire] keeps the
-   exact minimum completion time so the common nothing-to-retire case is a
-   single comparison. [mask] summarises the in-flight line addresses
-   (one bit per [line mod 63]-ish hash), letting [find] answer the common
-   "nothing in flight for this line" case without scanning the pool.
-   Completion times must be positive; [find] and [earliest] return -1 for
-   "absent" so callers stay allocation-free. *)
+   Every fill comes from the one DRAM channel, whose completion times
+   strictly increase in request order, so fills complete in the order
+   they were added: the pool is a FIFO, kept as a ring of parallel int
+   arrays. Retiring completed fills drops a prefix of the ring (the
+   common nothing-to-retire case is one comparison with the oldest), and
+   the earliest completion is the oldest entry's. [add] rejects a fill
+   that would break the order, so no caller can silently get a different
+   pool. [counts] counts in-flight lines per [line land 63]: a zero
+   proves a line absent, so [find] skips the scan for most lines. A line
+   is never in flight twice (callers only add lines [find] says are
+   absent), so the order of a scan cannot change what it finds.
+   Completion times must be positive; [find] and [earliest] return -1
+   for "absent" so callers stay allocation-free. *)
 
 type t = {
   cap : int;
-  lines : int array;           (* line addresses of in-flight fills *)
+  lines : int array;           (* ring: line addresses of in-flight fills *)
   dones : int array;           (* their completion cycles (always > 0) *)
   provs : int array;           (* provenance of each fill; -1 = demand *)
+  mutable head : int;          (* ring index of the oldest fill *)
   mutable used : int;
-  mutable min_done : int;      (* exact min of dones.(0..used-1); max_int when empty *)
-  mutable mask : int;          (* or of [bit line] over live entries (may
-                                  over-approximate until next [compact]) *)
-  mutable drops : int;         (* prefetches dropped on a full pool *)
+  mutable last_done : int;     (* completion of the newest fill ever added *)
+  counts : Bytes.t;            (* in-flight lines per [line land 63] *)
 }
 
-(* One of 63 bits per line (62..0 of the OCaml int): a cleared bit proves
-   the line is absent; a set bit means "maybe present, scan". *)
-let bit line = 1 lsl (line mod 62)
-
 let create cap =
+  if cap < 1 || cap > 255 then invalid_arg "Mshr.create: capacity";
   { cap; lines = Array.make cap 0; dones = Array.make cap 0;
-    provs = Array.make cap (-1);
-    used = 0; min_done = max_int; mask = 0; drops = 0 }
+    provs = Array.make cap (-1); head = 0; used = 0; last_done = 0;
+    counts = Bytes.make 64 '\000' }
 
-(* Top-level loops (a local [let rec] capturing state would allocate a
-   closure per call; these run on every simulated access). *)
+(** [clear t] empties the pool: the state {!create} returns. *)
+let clear t =
+  t.head <- 0;
+  t.used <- 0;
+  t.last_done <- 0;
+  Bytes.fill t.counts 0 64 '\000'
 
-let rec compact t ~now r w m mask =
-  if r = t.used then begin
-    t.used <- w;
-    t.min_done <- m;
-    t.mask <- mask
-  end
-  else begin
-    let d = t.dones.(r) in
-    if d > now then begin
-      let line = t.lines.(r) in
-      if r <> w then begin
-        t.lines.(w) <- line;
-        t.dones.(w) <- d;
-        t.provs.(w) <- t.provs.(r)
-      end;
-      compact t ~now (r + 1) (w + 1) (if d < m then d else m)
-        (mask lor bit line)
-    end
-    else compact t ~now (r + 1) w m mask
-  end
+let[@inline] bump counts line d =
+  let b = line land 63 in
+  Bytes.unsafe_set counts b
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get counts b) + d))
 
-let rec scan_lines (lines : int array) (dones : int array) (line : int) i used =
-  if i = used then -1
-  else if lines.(i) = line then dones.(i)
-  else scan_lines lines dones line (i + 1) used
+(* The ring index after [i]. *)
+let[@inline] next t i = if i + 1 = t.cap then 0 else i + 1
 
 (** [expire t ~now] retires entries whose fill has completed. *)
-let expire t ~now = if t.min_done <= now then compact t ~now 0 0 max_int 0
+let expire t ~now =
+  while t.used > 0 && Array.unsafe_get t.dones t.head <= now do
+    bump t.counts (Array.unsafe_get t.lines t.head) (-1);
+    t.head <- next t t.head;
+    t.used <- t.used - 1
+  done
+
+(* Ring index of [line]'s entry among the [k] entries from [i], or -1.
+   A top-level loop: a local [let rec] capturing state would allocate a
+   closure per call, and this runs on every simulated access. Indices
+   stay below [cap], so the unchecked reads are in range. *)
+let rec scan t line i k =
+  if k = 0 then -1
+  else if Array.unsafe_get t.lines i = line then i
+  else scan t line (next t i) (k - 1)
+
+let[@inline] index t line =
+  if Bytes.unsafe_get t.counts (line land 63) = '\000' then -1
+  else scan t line t.head t.used
 
 (** [find t line] is the completion time of an in-flight fill of [line],
     or -1 if none is in flight. *)
 let find t line =
-  if t.mask land bit line = 0 then -1
-  else scan_lines t.lines t.dones line 0 t.used
+  let i = index t line in
+  if i < 0 then -1 else Array.unsafe_get t.dones i
 
 let full t = t.used >= t.cap
 
 (** [earliest t] is the soonest completion among in-flight fills, or -1
     when the pool is empty. *)
-let earliest t = if t.used = 0 then -1 else t.min_done
-
-(* Index of [line]'s entry, or -1. Same shape as [scan_lines] — a plain
-   loop over the live prefix, no closure. *)
-let rec scan_index (lines : int array) (line : int) i used =
-  if i = used then -1
-  else if lines.(i) = line then i
-  else scan_index lines line (i + 1) used
+let earliest t = if t.used = 0 then -1 else Array.unsafe_get t.dones t.head
 
 (** [take_prov t line] is the provenance of the in-flight fill of [line]
     (-1 for demand fills or when nothing is in flight); clears it so the
     same fill is attributed at most once. *)
 let take_prov t line =
-  let i = scan_index t.lines line 0 t.used in
+  let i = index t line in
   if i < 0 then -1
   else begin
     let p = t.provs.(i) in
@@ -101,16 +99,13 @@ let take_prov t line =
 (* [prov] is a required label: an optional argument here would box a
    [Some] per registered fill on the miss path. *)
 let add ~prov t line done_at =
-  assert (t.used < t.cap && done_at > 0);
-  t.lines.(t.used) <- line;
-  t.dones.(t.used) <- done_at;
-  t.provs.(t.used) <- prov;
+  if t.used >= t.cap || done_at <= 0 || done_at < t.last_done then
+    invalid_arg "Mshr.add: pool full or fill out of completion order";
+  let i = t.head + t.used in
+  let i = if i >= t.cap then i - t.cap else i in
+  t.lines.(i) <- line;
+  t.dones.(i) <- done_at;
+  t.provs.(i) <- prov;
   t.used <- t.used + 1;
-  t.mask <- t.mask lor bit line;
-  if done_at < t.min_done then t.min_done <- done_at
-
-let reset t =
-  t.used <- 0;
-  t.min_done <- max_int;
-  t.mask <- 0;
-  t.drops <- 0
+  t.last_done <- done_at;
+  bump t.counts line 1

@@ -8,22 +8,17 @@
     The pool is consulted on every simulated memory access, so the API is
     allocation-free: [find] and [earliest] return completion cycles
     directly, with -1 meaning "absent". Completion times must be
-    positive. *)
+    positive, and fills complete in the order they are added (a FIFO;
+    see mshr.ml). *)
 
-type t = {
-  cap : int;
-  lines : int array;           (** line addresses of in-flight fills *)
-  dones : int array;           (** their completion cycles (always > 0) *)
-  provs : int array;           (** provenance of each fill; -1 = demand *)
-  mutable used : int;
-  mutable min_done : int;      (** exact min of live [dones]; [max_int] when empty *)
-  mutable mask : int;          (** hashed-presence summary of live lines:
-                                   a cleared bit proves absence, letting
-                                   {!find} skip the scan *)
-  mutable drops : int;
-}
+type t
 
+(** [create cap] is an empty pool of [cap] entries.
+    @raise Invalid_argument unless [1 <= cap <= 255]. *)
 val create : int -> t
+
+(** [clear t] empties the pool: the state {!create} returns. *)
+val clear : t -> unit
 
 (** [expire t ~now] retires entries whose fill completed by [now]. *)
 val expire : t -> now:int -> unit
@@ -45,8 +40,9 @@ val take_prov : t -> int -> int
 
 (** [add ~prov t line done_at] registers a fill ([prov] is -1 for demand
     fills, else the prefetcher's provenance id — required, because an
-    optional argument would box a [Some] per miss); the pool must not be
-    full and [done_at] must be positive. *)
+    optional argument would box a [Some] per miss) of a line not in
+    flight. Fills must be added in completion order, as the one DRAM
+    channel produces them.
+    @raise Invalid_argument when the pool is full, [done_at] is not
+    positive, or [done_at] is below an earlier fill's. *)
 val add : prov:int -> t -> int -> int -> unit
-
-val reset : t -> unit

@@ -15,6 +15,7 @@ let () =
       ("core", Test_core.suite);
       ("model", Test_model.suite);
       ("engine", Test_engine.suite);
+      ("hier-oracle", Test_hier_oracle.suite);
       ("obs", Test_obs.suite);
       ("pass", Test_pass.suite);
       ("golden", Test_golden.suite);
