@@ -10,7 +10,6 @@
 module Encoding = Asap_tensor.Encoding
 module Machine = Asap_sim.Machine
 module Exec = Asap_sim.Exec
-module Hierarchy = Asap_sim.Hierarchy
 module Pipeline = Asap_core.Pipeline
 module Driver = Asap_core.Driver
 module Asap = Asap_prefetch.Asap
@@ -37,9 +36,9 @@ let () =
         spmv (Pipeline.Asap { Asap.default with Asap.distance = d })
       in
       assert (Driver.check_spmv coo r < 1e-9);
-      let mem = r.Driver.report.Exec.rp_mem in
+      let rp = r.Driver.report in
       Printf.printf "%-10d %9.2fx %12d %12d %12d\n%!" d
         (Driver.throughput r /. Driver.throughput base)
-        mem.Hierarchy.st_sw_issued mem.Hierarchy.st_sw_useful
-        mem.Hierarchy.st_sw_dropped)
+        (Exec.Report.sw_issued rp) (Exec.Report.sw_useful rp)
+        (Exec.Report.sw_dropped rp))
     [ 1; 2; 4; 8; 16; 32; 45; 64; 96; 128; 256 ]

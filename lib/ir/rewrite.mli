@@ -24,11 +24,44 @@ val contains_for : block -> bool
     loop. *)
 val map_fors : (innermost:bool -> forloop -> forloop) -> func -> func
 
-(** A fresh-value supply for passes that extend an existing function. *)
+(** [contains_loop b] tests whether a block contains a for or while
+    loop, looking through ifs. *)
+val contains_loop : block -> bool
+
+(** {1 The rewriting toolkit}
+
+    One value supply, one use substitution and one block clone, shared
+    by every pass that adds values to an existing function (unrolling,
+    specialization, the Ainsworth & Jones baseline). *)
+
+(** A fresh-value supply; ids continue from the function's bound. *)
 type supply
 
 val supply : func -> supply
 val fresh : supply -> string -> scalar -> value
 
+(** [copy s v] is a fresh value with [v]'s name and type. *)
+val copy : supply -> value -> value
+
 (** [with_supply fn s] updates [fn]'s id bound after minting values. *)
 val with_supply : func -> supply -> func
+
+(** [lookup tbl v] is [tbl]'s replacement for [v]'s id, or [v]. *)
+val lookup : (int, value) Hashtbl.t -> value -> value
+
+(** [map_uses_rv look rv] rewrites every operand of [rv] through [look]. *)
+val map_uses_rv : (value -> value) -> rvalue -> rvalue
+
+(** [map_uses look b] rewrites every value use in [b] through [look];
+    definitions (lets, induction variables, region arguments, loop
+    results) keep their ids. *)
+val map_uses : (value -> value) -> block -> block
+
+(** [clone s ?outer subst b] copies [b], giving every value it defines
+    a fresh id from [s] in definition order and recording old id -> new
+    value in [subst]. A use is looked up in [subst] (which the caller
+    may seed, e.g. with an induction variable's replacement), then
+    through [outer] (default: unchanged). *)
+val clone :
+  supply -> ?outer:(value -> value) -> (int, value) Hashtbl.t -> block ->
+  block

@@ -23,120 +23,16 @@ open Ir
 
 type stats = { unrolled : int }
 
-(* Fresh-value allocation shared by the whole rewrite. *)
-type alloc = { mutable next_vid : int }
-
-let fresh (a : alloc) (v : value) : value =
-  let v' = { v with vid = a.next_vid } in
-  a.next_vid <- a.next_vid + 1;
-  v'
-
-(* Clone a block, assigning fresh ids to every value it defines; [subst]
-   maps old vid -> replacement value for both the clone's own definitions
-   and any outer substitutions (e.g. the induction variable). *)
-let rec clone_block (a : alloc) (subst : (int, value) Hashtbl.t) (b : block) :
-    block =
-  List.map (clone_stmt a subst) b
-
-and clone_stmt a subst = function
-  | Let (v, rv) ->
-    let rv' = clone_rvalue subst rv in
-    let v' = fresh a v in
-    Hashtbl.replace subst v.vid v';
-    Let (v', rv')
-  | Store (b, i, v) -> Store (b, sub subst i, sub subst v)
-  | Prefetch p -> Prefetch { p with pidx = sub subst p.pidx }
-  | For f ->
-    let f_lo = sub subst f.f_lo
-    and f_hi = sub subst f.f_hi
-    and f_step = sub subst f.f_step in
-    let inits = List.map (fun (_, i) -> sub subst i) f.f_carried in
-    let iv = fresh a f.f_iv in
-    Hashtbl.replace subst f.f_iv.vid iv;
-    let args =
-      List.map
-        (fun (arg, _) ->
-          let arg' = fresh a arg in
-          Hashtbl.replace subst arg.vid arg';
-          arg')
-        f.f_carried
-    in
-    let body = clone_block a subst f.f_body in
-    let yield = List.map (sub subst) f.f_yield in
-    let results =
-      List.map
-        (fun r ->
-          let r' = fresh a r in
-          Hashtbl.replace subst r.vid r';
-          r')
-        f.f_results
-    in
-    For
-      { f_iv = iv; f_lo; f_hi; f_step;
-        f_carried = List.combine args inits;
-        f_results = results; f_body = body; f_yield = yield; f_tag = f.f_tag }
-  | While w ->
-    let inits = List.map (fun (_, i) -> sub subst i) w.w_carried in
-    let args =
-      List.map
-        (fun (arg, _) ->
-          let arg' = fresh a arg in
-          Hashtbl.replace subst arg.vid arg';
-          arg')
-        w.w_carried
-    in
-    let cond = clone_block a subst w.w_cond in
-    let cond_v = sub subst w.w_cond_v in
-    let body = clone_block a subst w.w_body in
-    let yield = List.map (sub subst) w.w_yield in
-    let results =
-      List.map
-        (fun r ->
-          let r' = fresh a r in
-          Hashtbl.replace subst r.vid r';
-          r')
-        w.w_results
-    in
-    While
-      { w_carried = List.combine args inits; w_results = results;
-        w_cond = cond; w_cond_v = cond_v; w_body = body; w_yield = yield;
-        w_tag = w.w_tag }
-  | If (c, t, e) ->
-    let c' = sub subst c in
-    If (c', clone_block a subst t, clone_block a subst e)
-
-and sub subst (v : value) : value =
-  match Hashtbl.find_opt subst v.vid with Some v' -> v' | None -> v
-
-and clone_rvalue subst = function
-  | Const _ as r -> r
-  | Ibin (op, x, y) -> Ibin (op, sub subst x, sub subst y)
-  | Fbin (op, x, y) -> Fbin (op, sub subst x, sub subst y)
-  | Icmp (p, x, y) -> Icmp (p, sub subst x, sub subst y)
-  | Select (c, x, y) -> Select (sub subst c, sub subst x, sub subst y)
-  | Load (b, i) -> Load (b, sub subst i)
-  | Dim b -> Dim b
-  | Cast (ty, x) -> Cast (ty, sub subst x)
-
-let rec has_loop (b : block) =
-  List.exists
-    (function
-      | For _ | While _ -> true
-      | If (_, t, e) -> has_loop t || has_loop e
-      | Let _ | Store _ | Prefetch _ -> false)
-    b
-
 let run ~factor (fn : func) : func * stats =
   if factor <= 1 then (fn, { unrolled = 0 })
   else begin
-    let a = { next_vid = fn.fn_nvalues } in
+    let s = Rewrite.supply fn in
     let unrolled = ref 0 in
     (* vid -> compile-time index constant, built on the way down (SSA:
        a value has one definition, so the table never needs scoping). *)
     let consts : (int, int) Hashtbl.t = Hashtbl.create 32 in
     let def (name : string) (ty : scalar) (rv : rvalue) : value * stmt =
-      let v = { vid = a.next_vid; vname = name; vty = ty } in
-      a.next_vid <- a.next_vid + 1;
+      let v = Rewrite.fresh s name ty in
       (v, Let (v, rv))
     in
     (* Constants needed by the rewrites (unroll factor, per-replica
@@ -144,26 +40,25 @@ let run ~factor (fn : func) : func * stats =
        instead of being re-materialised on every trip into the loop. *)
     let hoisted : stmt list ref = ref [] in
     let hoist_const (name : string) (i : int) : value =
-      let v = { vid = a.next_vid; vname = name; vty = Index } in
-      a.next_vid <- a.next_vid + 1;
+      let v = Rewrite.fresh s name Index in
       hoisted := Let (v, Const (Cidx i)) :: !hoisted;
       v
     in
     let rec go_block (b : block) : block =
       List.concat_map go_stmt b
-    and go_stmt (s : stmt) : stmt list =
-      match s with
+    and go_stmt (st : stmt) : stmt list =
+      match st with
       | Let (v, (Const (Cidx k) as rv)) ->
         Hashtbl.replace consts v.vid k;
         [ Let (v, rv) ]
-      | Let _ | Store _ | Prefetch _ -> [ s ]
+      | Let _ | Store _ | Prefetch _ -> [ st ]
       | If (c, t, e) -> [ If (c, go_block t, go_block e) ]
       | While w ->
         [ While { w with w_cond = go_block w.w_cond;
                          w_body = go_block w.w_body } ]
       | For f ->
         (match Hashtbl.find_opt consts f.f_step.vid with
-         | Some k when k > 0 && not (has_loop f.f_body) ->
+         | Some k when k > 0 && not (Rewrite.contains_loop f.f_body) ->
            incr unrolled;
            unroll_for k f
          | _ -> [ For { f with f_body = go_block f.f_body } ])
@@ -202,10 +97,10 @@ let run ~factor (fn : func) : func * stats =
       in
       (* Main loop: fresh iv and carried args, body replicated [factor]
          times with replica r's carried args fed by replica r-1's yields. *)
-      let iv0 = fresh a iv in
+      let iv0 = Rewrite.copy s iv in
       let args0 =
         List.map
-          (fun ((arg : value), init) -> (fresh a arg, init))
+          (fun ((arg : value), init) -> (Rewrite.copy s arg, init))
           f.f_carried
       in
       let rec replicas r (carried_in : value list) acc =
@@ -220,7 +115,7 @@ let run ~factor (fn : func) : func * stats =
             end
             else begin
               let off = List.nth offsets (r - 1) in
-              let iv_r = fresh a iv in
+              let iv_r = Rewrite.copy s iv in
               Hashtbl.replace subst iv.vid iv_r;
               [ Let (iv_r, Ibin (Iadd, iv0, off)) ]
             end
@@ -229,8 +124,8 @@ let run ~factor (fn : func) : func * stats =
             (fun ((arg : value), _) (v : value) ->
               Hashtbl.replace subst arg.vid v)
             f.f_carried carried_in;
-          let body = clone_block a subst f.f_body in
-          let outs = List.map (sub subst) f.f_yield in
+          let body = Rewrite.clone s subst f.f_body in
+          let outs = List.map (Rewrite.lookup subst) f.f_yield in
           replicas (r + 1) outs ((iv_stmts @ body) :: acc)
         end
       in
@@ -238,7 +133,7 @@ let run ~factor (fn : func) : func * stats =
         replicas 0 (List.map fst args0) []
       in
       let main_results =
-        List.map (fun (r : value) -> fresh a r) f.f_results
+        List.map (Rewrite.copy s) f.f_results
       in
       let main =
         For
@@ -258,7 +153,7 @@ let run ~factor (fn : func) : func * stats =
     in
     let body = go_block fn.fn_body in
     let body = List.rev !hoisted @ body in
-    let fn' = { fn with fn_body = body; fn_nvalues = a.next_vid } in
+    let fn' = Rewrite.with_supply { fn with fn_body = body } s in
     (match Verify.check_result fn' with
      | Ok () -> ()
      | Error m -> invalid_arg ("unroll: broke the IR: " ^ m));

@@ -8,10 +8,9 @@
    domain pool — sparsify, prefetch-inject, pack, lay out, assemble the
    bytecode, tune if asked, and run once cold. Results land in
    index-slotted arrays, so this pass is deterministic for any [jobs].
-   With more than one shard the keys are grouped by their home shard
-   (consistent hash of the fingerprint) and each group builds on its
-   {!Par.lease} slice of one persistent pool — a per-shard worker
-   budget over the same domains. Repeat fingerprints never rebuild:
+   The build pass is one {!Par.map} over the sorted ids whatever the
+   shard count: builds are pure, so which shard will serve an entry
+   has no bearing on how it is built. Repeat fingerprints never rebuild:
    this is the host-side half of the compile/tune cache. With the cache
    disabled ([cache_capacity = 0]) the memoisation is disabled too —
    every request builds its own entry, which is the honest baseline the
@@ -243,9 +242,9 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
   (* Work items: with caching, one per id (the fallback of every
      deadline-carrying request is built eagerly so degradation never
      blocks); without, one per request. [built] keeps every entry in a
-     deterministic order (sorted fingerprints when caching — grouped by
-     home shard for a fleet — input order otherwise) so the tuning
-     counters aggregated from them are jobs-invariant. *)
+     deterministic order (sorted fingerprints when caching, input order
+     otherwise) so the tuning counters aggregated from them are
+     jobs-invariant. *)
   let entry_for, builds, built, pack_uses, packs =
     if caching then begin
       (* --- Pack-memoisation pre-pass ------------------------------- *)
@@ -302,37 +301,7 @@ let run ?(trace : Chrome.t option) ?(updates : Request.Update.t list = [])
       in
       let order = Array.init nids Fun.id in
       Array.stable_sort (fun a b -> String.compare id_fp.(a) id_fp.(b)) order;
-      let order, entries =
-        if nshards = 1 then (order, Par.map ~jobs build_id order)
-        else begin
-          (* Group the ids by home shard (each group stays sorted) and
-             build every group on its leased slice of one persistent
-             pool — shard i's builds use shard i's worker budget. *)
-          let groups = Array.make nshards [] in
-          Array.iter
-            (fun id -> groups.(id_home.(id)) <- id :: groups.(id_home.(id)))
-            order;
-          let groups =
-            Array.map (fun g -> Array.of_list (List.rev g)) groups
-          in
-          let per_shard =
-            if jobs > 1 then begin
-              let pool = Par.pool ~workers:(jobs - 1) in
-              let slices = Par.lease pool ~shards:nshards in
-              let r =
-                Array.mapi
-                  (fun s g -> Par.map_slice slices.(s) build_id g)
-                  groups
-              in
-              Par.shutdown pool;
-              r
-            end
-            else Array.map (Array.map build_id) groups
-          in
-          ( Array.concat (Array.to_list groups),
-            Array.concat (Array.to_list per_shard) )
-        end
-      in
+      let entries = Par.map ~jobs build_id order in
       let slot = Array.make nids 0 in
       Array.iteri (fun k id -> slot.(id) <- k) order;
       (* Builds that consumed a shared pack — jobs-invariant, like the

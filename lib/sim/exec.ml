@@ -256,9 +256,10 @@ module Report = struct
   let demand_loads r = r.rp_mem.Hierarchy.st_demand_loads
   let demand_stores r = r.rp_mem.Hierarchy.st_demand_stores
   let l2_misses r = r.rp_mem.Hierarchy.st_l2_misses
-  let sw_issued r = r.rp_mem.Hierarchy.st_sw_issued
-  let sw_dropped r = r.rp_mem.Hierarchy.st_sw_dropped
-  let sw_useful r = r.rp_mem.Hierarchy.st_sw_useful
+  let sw r = List.assoc "sw" r.rp_mem.Hierarchy.st_pf
+  let sw_issued r = (sw r).Hierarchy.p_issued
+  let sw_dropped r = (sw r).Hierarchy.p_drop_mshr
+  let sw_useful r = (sw r).Hierarchy.p_useful
 
   (** [registry r] is every counter of the report under its stable dotted
       name (the DESIGN.md §3c catalogue): [core.*] for the pipeline,

@@ -57,7 +57,6 @@ type t = {
   pf_drop_present : int array;   (* dropped: line present or in flight *)
   pf_late : int array;           (* demand arrived while fill in flight *)
   pf_evicted : int array;        (* evicted before any demand use *)
-  mutable sw_dropped : int;
   mutable demand_loads : int;
   mutable demand_stores : int;
   mutable l1_demand_misses : int;
@@ -72,6 +71,7 @@ type t = {
 
 let alloc (cfg : Machine.t) : t =
   let line = cfg.Machine.line_bytes in
+  let line_shift = Cache.line_shift ~line_bytes:line in
   let mk_l1 _ =
     Cache.create ~size_bytes:(cfg.Machine.l1_kb * 1024)
       ~ways:cfg.Machine.l1_ways ~line_bytes:line
@@ -79,7 +79,8 @@ let alloc (cfg : Machine.t) : t =
   let mk_l1_pfs _ =
     List.concat
       [ (if cfg.Machine.hw.Machine.l1_nlp then [ Hp.l1_nlp () ] else []);
-        (if cfg.Machine.hw.Machine.l1_ipp then [ Hp.l1_ipp () ] else []) ]
+        (if cfg.Machine.hw.Machine.l1_ipp then [ Hp.l1_ipp ~line_shift () ]
+         else []) ]
   in
   let mk_cluster _ =
     { l2 =
@@ -89,13 +90,14 @@ let alloc (cfg : Machine.t) : t =
       l2_pfs =
         List.concat
           [ (if cfg.Machine.hw.Machine.l2_nlp then [ Hp.l2_nlp () ] else []);
-            (if cfg.Machine.hw.Machine.mlc_streamer then [ Hp.mlc_streamer () ]
+            (if cfg.Machine.hw.Machine.mlc_streamer then
+               [ Hp.mlc_streamer ~line_shift () ]
              else []);
             (if cfg.Machine.hw.Machine.l2_amp then [ Hp.l2_amp () ] else []) ] }
   in
   let clusters = Array.init (Machine.clusters cfg) mk_cluster in
   { cfg;
-    line_shift = Cache.line_shift ~line_bytes:line;
+    line_shift;
     l1s = Array.init cfg.Machine.cores mk_l1;
     l1_pfs = Array.init cfg.Machine.cores mk_l1_pfs;
     clusters;
@@ -106,7 +108,8 @@ let alloc (cfg : Machine.t) : t =
       Cache.create ~size_bytes:(cfg.Machine.l3_kb * 1024)
         ~ways:cfg.Machine.l3_ways ~line_bytes:line;
     l3_pfs =
-      (if cfg.Machine.hw.Machine.llc_streamer then [ Hp.llc_streamer () ]
+      (if cfg.Machine.hw.Machine.llc_streamer then
+         [ Hp.llc_streamer ~line_shift () ]
        else []);
     dram = Dram.create ~latency:cfg.Machine.dram_latency
         ~gap:cfg.Machine.dram_gap;
@@ -119,7 +122,7 @@ let alloc (cfg : Machine.t) : t =
     pf_drop_present = Array.make n_prov 0;
     pf_late = Array.make n_prov 0;
     pf_evicted = Array.make n_prov 0;
-    sw_dropped = 0; demand_loads = 0; demand_stores = 0;
+    demand_loads = 0; demand_stores = 0;
     l1_demand_misses = 0; l2_demand_misses = 0; l3_demand_misses = 0;
     pc_l1_miss = Array.make 64 0; pc_l2_miss = Array.make 64 0 }
 
@@ -143,7 +146,6 @@ let clear t ~obs =
     (fun a -> Array.fill a 0 (Array.length a) 0)
     [ t.pf_issued; t.pf_useful; t.pf_drop_mshr; t.pf_drop_present;
       t.pf_late; t.pf_evicted; t.pc_l1_miss; t.pc_l2_miss ];
-  t.sw_dropped <- 0;
   t.demand_loads <- 0;
   t.demand_stores <- 0;
   t.l1_demand_misses <- 0;
@@ -296,7 +298,6 @@ let rec fetch_line t ~core ~prov ~level ~at line =
       true
     end
     else if Mshr.full cl.mshr then begin
-      if prov = sw_prov then t.sw_dropped <- t.sw_dropped + 1;
       if prov >= 0 then begin
         t.pf_drop_mshr.(prov) <- t.pf_drop_mshr.(prov) + 1;
         if t.obs_on then
@@ -516,11 +517,6 @@ type stats = {
   st_l2_misses : int;
   st_l3_misses : int;
   st_dram_lines : int;
-  st_sw_issued : int;
-  st_sw_dropped : int;
-  st_sw_useful : int;
-  st_hw_issued : (string * int) list;
-  st_hw_useful : (string * int) list;
   st_pf : (string * pf_stat) list;
     (** keyed by counter-name slug ("sw", "l1_ipp", ...), provenance order *)
   st_pc_l1_miss : (int * int) list;
@@ -542,13 +538,6 @@ let stats t =
     st_l2_misses = t.l2_demand_misses;
     st_l3_misses = t.l3_demand_misses;
     st_dram_lines = t.dram.Dram.lines;
-    st_sw_issued = t.pf_issued.(sw_prov);
-    st_sw_dropped = t.sw_dropped;
-    st_sw_useful = t.pf_useful.(sw_prov);
-    st_hw_issued =
-      List.init Hp.n_ids (fun i -> (Hp.name_of_id i, t.pf_issued.(i)));
-    st_hw_useful =
-      List.init Hp.n_ids (fun i -> (Hp.name_of_id i, t.pf_useful.(i)));
     st_pf =
       List.init n_prov (fun i ->
           ( slug_of_prov i,

@@ -53,11 +53,6 @@ type stats = {
   st_l2_misses : int;          (** went past L2: L3 hit or DRAM *)
   st_l3_misses : int;
   st_dram_lines : int;
-  st_sw_issued : int;
-  st_sw_dropped : int;
-  st_sw_useful : int;
-  st_hw_issued : (string * int) list;
-  st_hw_useful : (string * int) list;
   st_pf : (string * pf_stat) list;
     (** keyed by counter-name slug ("sw", "l1_ipp", ...), provenance order *)
   st_pc_l1_miss : (int * int) list;

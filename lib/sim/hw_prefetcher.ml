@@ -32,11 +32,6 @@ let id_amp = 4
 let id_llc = 5
 let n_ids = 6
 
-let name_of_id = function
-  | 0 -> "L1 NLP" | 1 -> "L1 IPP" | 2 -> "L2 NLP"
-  | 3 -> "MLC Streamer" | 4 -> "L2 AMP" | 5 -> "LLC Streamer"
-  | _ -> "?"
-
 (* Stable dotted-counter-name components ("pf.<slug>.issued", ...). *)
 let slug_of_id = function
   | 0 -> "l1_nlp" | 1 -> "l1_ipp" | 2 -> "l2_nlp"
@@ -65,7 +60,8 @@ let ipp_width = 5
    checked first. [bucket] counts the table's pages per [page land 63]:
    a zero count proves a page absent without the scan (most new pages).
    Pages in the table are unique (a page is only filled when absent), so
-   every search order finds the same entry. *)
+   every search order finds the same entry. A page is 4 KiB: a line
+   number shifted right by [page_shift]. *)
 type streamer = {
   pages : int array;
   lasts : int array;           (* high-water line per page *)
@@ -77,11 +73,12 @@ type streamer = {
   bucket : int array;          (* 64 counts *)
   mutable memo : int;
   degree : int;
+  page_shift : int;
 }
 
 type kind =
   | Nlp
-  | Ipp of { slots : int array; lookahead : int }
+  | Ipp of { slots : int array; lookahead : int; line_shift : int }
   | Streamer of streamer
   | Amp of { mutable last_line : int; mutable last_delta : int;
              amp_degree : int }
@@ -132,11 +129,15 @@ let l1_nlp () = { pf_id = id_l1_nlp; pf_level = L1; kind = Nlp }
 let l2_nlp () = { pf_id = id_l2_nlp; pf_level = L2; kind = Nlp }
 
 (** L1 instruction-pointer prefetcher: per-PC stride detection with a small
-    stream capacity (the paper observes 2 concurrent streams, §3.2.1). *)
-let l1_ipp ?(streams = 2) ?(lookahead = 16) () =
+    stream capacity (the paper observes 2 concurrent streams, §3.2.1).
+    [line_shift] is log2 of the line size: the unit sees byte addresses
+    and requests lines. *)
+let l1_ipp ?(streams = 2) ?(lookahead = 16) ~line_shift () =
   let t =
     { pf_id = id_l1_ipp; pf_level = L1;
-      kind = Ipp { slots = Array.make (streams * ipp_width) 0; lookahead } }
+      kind =
+        Ipp { slots = Array.make (streams * ipp_width) 0; lookahead;
+              line_shift } }
   in
   clear t;
   t
@@ -147,19 +148,23 @@ let l1_ipp ?(streams = 2) ?(lookahead = 16) () =
     consecutive accesses) keeps the unit trained when an L1 prefetcher
     reorders the miss stream. Instantiated at L2 (MLC streamer) and L3
     (LLC streamer). *)
-let streamer ~pf_id ~level ?(entries = 16) ?(degree = 4) () =
+let streamer ~pf_id ~level ?(entries = 16) ?(degree = 4) ~line_shift () =
   let st =
     { pages = Array.make entries 0; lasts = Array.make entries 0;
       confs = Array.make entries 0; newer = Array.make entries 0;
       older = Array.make entries 0; mru = 0; lru = 0;
-      bucket = Array.make 64 0; memo = 0; degree = min degree max_requests }
+      bucket = Array.make 64 0; memo = 0; degree = min degree max_requests;
+      page_shift = max 0 (12 - line_shift) }
   in
   let t = { pf_id; pf_level = level; kind = Streamer st } in
   clear t;
   t
 
-let mlc_streamer () = streamer ~pf_id:id_mlc ~level:L2 ()
-let llc_streamer () = streamer ~pf_id:id_llc ~level:L3 ~degree:4 ()
+let mlc_streamer ~line_shift () =
+  streamer ~pf_id:id_mlc ~level:L2 ~line_shift ()
+
+let llc_streamer ~line_shift () =
+  streamer ~pf_id:id_llc ~level:L3 ~degree:4 ~line_shift ()
 
 (** L2 adaptive multipath: fires when the delta between consecutive lines
     repeats, covering 2-D strided walks; on irregular streams the
@@ -209,18 +214,18 @@ let use st i =
 
 (* Writes up to [k] lines after [from] that stay in [page] into [out],
    from index [w]; returns the new count. *)
-let rec put ~page ~from k (out : int array) w =
+let rec put ~page_shift ~page ~from k (out : int array) w =
   if k = 0 then w
   else begin
     let line = from + 1 in
-    if line asr 6 = page then begin
+    if line asr page_shift = page then begin
       out.(w) <- line;
-      put ~page ~from:line (k - 1) out (w + 1)
+      put ~page_shift ~page ~from:line (k - 1) out (w + 1)
     end
     else w
   end
 
-let observe_ipp slots lookahead ~pc ~addr ~line ~out =
+let observe_ipp slots lookahead line_shift ~pc ~addr ~line ~out =
   let o = search_pc slots pc 0 0 in
   if o < 0 then begin
     (* Replacement with hysteresis: steal only a zero-confidence slot,
@@ -265,8 +270,8 @@ let observe_ipp slots lookahead ~pc ~addr ~line ~out =
     if conf >= 2 then begin
       (* [conf >= 2] only after a repeated stride, so [d] is it. *)
       let target = addr + (d * lookahead) in
-      if target >= 0 && target asr 6 <> line then begin
-        out.(0) <- target asr 6;
+      if target >= 0 && target asr line_shift <> line then begin
+        out.(0) <- target asr line_shift;
         1
       end
       else 0
@@ -275,7 +280,7 @@ let observe_ipp slots lookahead ~pc ~addr ~line ~out =
   end
 
 let observe_streamer st ~line ~out =
-  let page = line asr 6 in
+  let page = line asr st.page_shift in
   let idx =
     if st.pages.(st.memo) = page then st.memo
     else if st.bucket.(page land 63) = 0 then -1
@@ -312,7 +317,8 @@ let observe_streamer st ~line ~out =
     (* Small backward jitter (delta in [-4, 0]) leaves the high-water
        mark and confidence untouched. *)
     if st.confs.(idx) >= 1 && delta > 0 then
-      put ~page ~from:st.lasts.(idx) st.degree out 0
+      put ~page_shift:st.page_shift ~page ~from:st.lasts.(idx) st.degree out
+        0
     else 0
   end
 
@@ -326,7 +332,8 @@ let[@inline] observe t ~pc ~addr ~line ~hit ~out =
       out.(0) <- line + 1;
       1
     end
-  | Ipp { slots; lookahead } -> observe_ipp slots lookahead ~pc ~addr ~line ~out
+  | Ipp { slots; lookahead; line_shift } ->
+    observe_ipp slots lookahead line_shift ~pc ~addr ~line ~out
   | Streamer st -> observe_streamer st ~line ~out
   | Amp a ->
     let d = line - a.last_line in

@@ -16,7 +16,6 @@ type level = L1 | L2 | L3
 (** {1 Prefetcher ids (accuracy-counter indices)} *)
 
 val n_ids : int
-val name_of_id : int -> string
 
 (** [slug_of_id i] is the stable dotted-counter-name component for
     prefetcher [i] (e.g. ["mlc_streamer"] in ["pf.mlc_streamer.issued"]). *)
@@ -55,15 +54,17 @@ val l2_nlp : unit -> t
 
 (** L1 instruction-pointer prefetcher: per-PC stride detection with a
     small stream capacity (the paper observes 2 concurrent streams,
-    §3.2.1) and replacement hysteresis. *)
-val l1_ipp : ?streams:int -> ?lookahead:int -> unit -> t
+    §3.2.1) and replacement hysteresis. [line_shift] is log2 of the
+    line size, as for every unit below that needs it: the IPP strides
+    over byte addresses and requests lines. *)
+val l1_ipp : ?streams:int -> ?lookahead:int -> line_shift:int -> unit -> t
 
 (** Mid-level-cache streamer (into L2): forward line streams within a
     4 KiB page, fetching 4 lines past the page's high-water mark. *)
-val mlc_streamer : unit -> t
+val mlc_streamer : line_shift:int -> unit -> t
 
 (** Last-level-cache streamer (into L3). *)
-val llc_streamer : unit -> t
+val llc_streamer : line_shift:int -> unit -> t
 
 (** L2 adaptive multipath: fires on repeated line deltas — covers 2-D
     strided walks, pollutes on random streams (disabled for SpMV by the

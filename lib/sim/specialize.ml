@@ -72,111 +72,6 @@ let fingerprint ~kernel ~format ~pipeline ~tuned ~shape =
   in
   String.concat "|" [ "spec"; kernel; format; pipeline; tuned; dims ]
 
-(* --- Fresh-vid allocation and use rewriting --------------------------- *)
-
-type alloc = { mutable next : int }
-
-let fresh (a : alloc) vname vty =
-  let v = { Ir.vid = a.next; vname; vty } in
-  a.next <- a.next + 1;
-  v
-
-(* Rewrite every value *use* through [look]; definitions keep their
-   vids. Region arguments and results are definitions; loop bounds,
-   carried inits, yields and condition values are uses. *)
-let map_uses_rv look = function
-  | Ir.Const _ as r -> r
-  | Ir.Ibin (op, x, y) -> Ir.Ibin (op, look x, look y)
-  | Ir.Fbin (op, x, y) -> Ir.Fbin (op, look x, look y)
-  | Ir.Icmp (p, x, y) -> Ir.Icmp (p, look x, look y)
-  | Ir.Select (c, x, y) -> Ir.Select (look c, look x, look y)
-  | Ir.Load (buf, i) -> Ir.Load (buf, look i)
-  | Ir.Dim _ as r -> r
-  | Ir.Cast (t, x) -> Ir.Cast (t, look x)
-
-let rec map_uses_block look b = List.map (map_uses_stmt look) b
-
-and map_uses_stmt look = function
-  | Ir.Let (v, rv) -> Ir.Let (v, map_uses_rv look rv)
-  | Ir.Store (buf, i, v) -> Ir.Store (buf, look i, look v)
-  | Ir.Prefetch p -> Ir.Prefetch { p with Ir.pidx = look p.Ir.pidx }
-  | Ir.For f ->
-    Ir.For
-      { f with
-        Ir.f_lo = look f.Ir.f_lo;
-        f_hi = look f.Ir.f_hi;
-        f_step = look f.Ir.f_step;
-        f_carried = List.map (fun (arg, init) -> (arg, look init)) f.Ir.f_carried;
-        f_body = map_uses_block look f.Ir.f_body;
-        f_yield = List.map look f.Ir.f_yield }
-  | Ir.While w ->
-    Ir.While
-      { w with
-        Ir.w_carried =
-          List.map (fun (arg, init) -> (arg, look init)) w.Ir.w_carried;
-        w_cond = map_uses_block look w.Ir.w_cond;
-        w_cond_v = look w.Ir.w_cond_v;
-        w_body = map_uses_block look w.Ir.w_body;
-        w_yield = List.map look w.Ir.w_yield }
-  | Ir.If (c, t, e) ->
-    Ir.If (look c, map_uses_block look t, map_uses_block look e)
-
-(* Clone a block with fresh vids for every value it defines, applying
-   [sub] (iteration-local: induction variable, carried args, body defs)
-   then [rsub] (results of previously expanded loops) to uses. SSA ids
-   are globally unique, so one flat substitution table needs no scope
-   tracking (same scheme as the unroll pass). *)
-let clone_body (a : alloc) rsub sub blk =
-  let look (v : Ir.value) =
-    match Hashtbl.find_opt sub v.Ir.vid with
-    | Some v' -> v'
-    | None -> (
-      match Hashtbl.find_opt rsub v.Ir.vid with Some v' -> v' | None -> v)
-  in
-  let def (v : Ir.value) =
-    let v' = fresh a v.Ir.vname v.Ir.vty in
-    Hashtbl.replace sub v.Ir.vid v';
-    v'
-  in
-  let rec go_block b = List.map go_stmt b
-  and go_stmt = function
-    | Ir.Let (v, rv) ->
-      let rv' = map_uses_rv look rv in
-      Ir.Let (def v, rv')
-    | Ir.Store (buf, i, v) -> Ir.Store (buf, look i, look v)
-    | Ir.Prefetch p -> Ir.Prefetch { p with Ir.pidx = look p.Ir.pidx }
-    | Ir.For f ->
-      (* Unreachable from the unroller (bodies are loop-free by then)
-         but kept total for safety. *)
-      let f_lo = look f.Ir.f_lo
-      and f_hi = look f.Ir.f_hi
-      and f_step = look f.Ir.f_step in
-      let inits = List.map (fun (_, init) -> look init) f.Ir.f_carried in
-      let f_iv = def f.Ir.f_iv in
-      let f_carried =
-        List.map2 (fun (arg, _) init -> (def arg, init)) f.Ir.f_carried inits
-      in
-      let f_body = go_block f.Ir.f_body in
-      let f_yield = List.map look f.Ir.f_yield in
-      let f_results = List.map def f.Ir.f_results in
-      Ir.For { f with Ir.f_iv; f_lo; f_hi; f_step; f_carried; f_results;
-               f_body; f_yield }
-    | Ir.While w ->
-      let inits = List.map (fun (_, init) -> look init) w.Ir.w_carried in
-      let w_carried =
-        List.map2 (fun (arg, _) init -> (def arg, init)) w.Ir.w_carried inits
-      in
-      let w_cond = go_block w.Ir.w_cond in
-      let w_cond_v = look w.Ir.w_cond_v in
-      let w_body = go_block w.Ir.w_body in
-      let w_yield = List.map look w.Ir.w_yield in
-      let w_results = List.map def w.Ir.w_results in
-      Ir.While { w with Ir.w_carried; w_results; w_cond; w_cond_v; w_body;
-                 w_yield }
-    | Ir.If (c, t, e) -> Ir.If (look c, go_block t, go_block e)
-  in
-  go_block blk
-
 let const_of_ty vty k =
   match vty with
   | Ir.Index -> Ir.Cidx k
@@ -271,32 +166,22 @@ let eliminate_block_clamps body =
 
 (* --- Constant-trip full unrolling ------------------------------------ *)
 
-let rec loop_free b =
-  List.for_all
-    (function
-      | Ir.For _ | Ir.While _ -> false
-      | Ir.If (_, t, e) -> loop_free t && loop_free e
-      | Ir.Let _ | Ir.Store _ | Ir.Prefetch _ -> true)
-    b
-
 (* Walk the body bottom-up expanding every non-top [For] whose bounds
    are literal constants and whose trip count is within [cap]. Loop
    results are substituted with the final carried values via [rsub],
    which the rest of the walk applies to all later uses. Top-level loops
    are kept: they own slice handling (profiling and the dense-outer
    parallel path restrict their range at run time). *)
-let unroll_const_loops (a : alloc) cap body =
+let unroll_const_loops (s : Rewrite.supply) cap body =
   let consts : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let rsub : (int, Ir.value) Hashtbl.t = Hashtbl.create 16 in
   let n_unrolled = ref 0 and n_iters = ref 0 in
-  let look (v : Ir.value) =
-    match Hashtbl.find_opt rsub v.Ir.vid with Some v' -> v' | None -> v
-  in
+  let look = Rewrite.lookup rsub in
   let const_of (v : Ir.value) = Hashtbl.find_opt consts v.Ir.vid in
   let rec go_block ~top b = List.concat_map (go_stmt ~top) b
   and go_stmt ~top = function
     | Ir.Let (v, rv) ->
-      let rv' = map_uses_rv look rv in
+      let rv' = Rewrite.map_uses_rv look rv in
       (match rv' with
        | Ir.Const (Ir.Cidx k | Ir.Ci64 k) -> Hashtbl.replace consts v.Ir.vid k
        | _ -> ());
@@ -334,14 +219,14 @@ let unroll_const_loops (a : alloc) cap body =
       in
       (match trip with
        | Some (lo, step, trip)
-         when (not top) && trip <= cap && loop_free body' ->
+         when (not top) && trip <= cap && not (Rewrite.contains_loop body') ->
          incr n_unrolled;
          n_iters := !n_iters + trip;
          let out = ref [] in
          let cur = ref (List.map snd f.Ir.f_carried) in
          for t = 0 to trip - 1 do
            let sub = Hashtbl.create 32 in
-           let ivc = fresh a f.Ir.f_iv.Ir.vname f.Ir.f_iv.Ir.vty in
+           let ivc = Rewrite.copy s f.Ir.f_iv in
            out :=
              Ir.Let (ivc, Ir.Const (const_of_ty f.Ir.f_iv.Ir.vty (lo + (t * step))))
              :: !out;
@@ -349,15 +234,9 @@ let unroll_const_loops (a : alloc) cap body =
            List.iter2
              (fun (arg, _) v -> Hashtbl.replace sub arg.Ir.vid v)
              f.Ir.f_carried !cur;
-           let cloned = clone_body a rsub sub body' in
+           let cloned = Rewrite.clone s ~outer:look sub body' in
            out := List.rev_append cloned !out;
-           cur :=
-             List.map
-               (fun (y : Ir.value) ->
-                 match Hashtbl.find_opt sub y.Ir.vid with
-                 | Some v -> v
-                 | None -> y)
-               f.Ir.f_yield
+           cur := List.map (Rewrite.lookup sub) f.Ir.f_yield
          done;
          List.iter2
            (fun (r : Ir.value) v -> Hashtbl.replace rsub r.Ir.vid v)
@@ -462,7 +341,7 @@ let strip_prefetch body =
 (* --- Entry point ------------------------------------------------------ *)
 
 let apply (facts : facts) (fn : Ir.func) : Ir.func * stats =
-  let a = { next = fn.Ir.fn_nvalues } in
+  let s = Rewrite.supply fn in
   let params =
     List.filter_map
       (function Ir.Pscalar v -> Some v | Ir.Pbuf _ -> None)
@@ -477,16 +356,13 @@ let apply (facts : facts) (fn : Ir.func) : Ir.func * stats =
   let entry =
     List.map2
       (fun (v : Ir.value) x ->
-        let c = fresh a (v.Ir.vname ^ "_k") v.Ir.vty in
+        let c = Rewrite.fresh s (v.Ir.vname ^ "_k") v.Ir.vty in
         Hashtbl.replace psub v.Ir.vid c;
         Ir.Let (c, Ir.Const (const_of_ty v.Ir.vty x)))
       params facts.f_scalars
   in
-  let look (v : Ir.value) =
-    match Hashtbl.find_opt psub v.Ir.vid with Some c -> c | None -> v
-  in
-  let body = entry @ map_uses_block look fn.Ir.fn_body in
-  let mk body = { fn with Ir.fn_body = body; Ir.fn_nvalues = a.next } in
+  let body = entry @ Rewrite.map_uses (Rewrite.lookup psub) fn.Ir.fn_body in
+  let mk body = Rewrite.with_supply { fn with Ir.fn_body = body } s in
   (* 2. Fold parameter constants through the body. *)
   let fn1, fs1 = Fold.run (mk body) in
   (* 3. Eliminate block edge clamps the folded extents prove away, then
@@ -494,7 +370,7 @@ let apply (facts : facts) (fn : Ir.func) : Ir.func * stats =
      BSR micro-loop bounds dynamic). *)
   let body, n_clamps = eliminate_block_clamps fn1.Ir.fn_body in
   let body, n_unrolled, n_iters =
-    unroll_const_loops a unroll_cap body
+    unroll_const_loops s unroll_cap body
   in
   (* 4. Fold again: induction constants feed address arithmetic. *)
   let fn2, fs2 = Fold.run (mk body) in

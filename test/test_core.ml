@@ -130,9 +130,9 @@ let test_asap_speedup_memory_bound () =
   let sp = Driver.throughput asap /. Driver.throughput base in
   check (Printf.sprintf "speedup > 1.1 (got %.2f)" sp) true (sp > 1.1);
   check "prefetches issued" true
-    (asap.Driver.report.Exec.rp_mem.Hierarchy.st_sw_issued > 0);
+    (Exec.Report.sw_issued asap.Driver.report > 0);
   check "prefetches useful" true
-    (asap.Driver.report.Exec.rp_mem.Hierarchy.st_sw_useful > 0)
+    (Exec.Report.sw_useful asap.Driver.report > 0)
 
 (* On a cache-resident structured matrix ASaP's overhead is bounded (the
    paper reports up to ~10-20% slowdown in the compute-bound regime). *)
@@ -468,36 +468,38 @@ let test_generator_shapes () =
 
 (* --- Par: persistent pool ------------------------------------------- *)
 
-let test_par_pool_basics () =
-  let p = Asap_core.Par.pool ~workers:3 in
-  check_int "pool size" 3 (Asap_core.Par.pool_size p);
+(* Domain ids come from one process-wide counter, so a probe domain's
+   id tells how many domains were spawned since the previous probe. *)
+let probe_domain_id () =
+  Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+let test_par_map_reuses_workers () =
   let xs = Array.init 101 Fun.id in
   let f x = (x * x) + 1 in
   Alcotest.(check (array int))
-    "map_pool = Array.map" (Array.map f xs)
-    (Asap_core.Par.map_pool p ~jobs:4 f xs);
-  (* The pool is persistent: repeated maps reuse the same domains. *)
-  Alcotest.(check (array int))
-    "second map reuses workers" (Array.map f xs)
-    (Asap_core.Par.map_pool p ~jobs:4 f xs);
-  check_int "workers survive" 3 (Asap_core.Par.pool_size p);
-  Asap_core.Par.shutdown p;
-  check_int "shutdown empties" 0 (Asap_core.Par.pool_size p);
-  (* Idempotent shutdown; maps afterwards degrade to sequential. *)
-  Asap_core.Par.shutdown p;
-  Alcotest.(check (array int))
-    "sequential after shutdown" (Array.map f xs)
-    (Asap_core.Par.map_pool p ~jobs:4 f xs)
+    "map = Array.map" (Array.map f xs) (Asap_core.Par.map ~jobs:4 f xs);
+  (* The pool now has the helpers of a 4-job map: repeated maps of at
+     most 4 jobs reuse them and spawn nothing. *)
+  let before = probe_domain_id () in
+  for jobs = 2 to 4 do
+    for _ = 1 to 5 do
+      Alcotest.(check (array int))
+        "repeated map = Array.map" (Array.map f xs)
+        (Asap_core.Par.map ~jobs f xs)
+    done
+  done;
+  check_int "no domain spawned by repeated maps" (before + 1)
+    (probe_domain_id ())
 
-let test_par_pool_nested_and_errors () =
-  let p = Asap_core.Par.pool ~workers:2 in
-  (* A worker (or the draining caller) re-entering its own pool must
-     degrade to Array.map, not deadlock. *)
+let test_par_map_nested_and_errors () =
+  (* A worker (or the draining caller) mapping again must degrade to
+     Array.map, not deadlock — also when it asks for more jobs than the
+     pool has helpers. *)
   let inner = Array.init 5 Fun.id in
   let nested =
-    Asap_core.Par.map_pool p ~jobs:3
+    Asap_core.Par.map ~jobs:3
       (fun x ->
-        Array.fold_left ( + ) x (Asap_core.Par.map_pool p ~jobs:3 Fun.id inner))
+        Array.fold_left ( + ) x (Asap_core.Par.map ~jobs:16 Fun.id inner))
       (Array.init 40 Fun.id)
   in
   Alcotest.(check (array int))
@@ -506,15 +508,14 @@ let test_par_pool_nested_and_errors () =
      stays usable afterwards. *)
   (try
      ignore
-       (Asap_core.Par.map_pool p ~jobs:3
+       (Asap_core.Par.map ~jobs:3
           (fun x -> if x = 17 then failwith "boom" else x)
           (Array.init 40 Fun.id));
      Alcotest.fail "exception swallowed"
    with Failure m -> check "error propagates" true (m = "boom"));
   Alcotest.(check (array int))
     "pool usable after error" (Array.init 9 succ)
-    (Asap_core.Par.map_pool p ~jobs:3 succ (Array.init 9 Fun.id));
-  Asap_core.Par.shutdown p
+    (Asap_core.Par.map ~jobs:3 succ (Array.init 9 Fun.id))
 
 let test_par_map_jobs_invariant () =
   let xs = Array.init 64 (fun i -> i - 7) in
@@ -611,9 +612,10 @@ let suite =
     Alcotest.test_case "generators deterministic" `Quick
       test_generators_deterministic;
     Alcotest.test_case "generator shapes" `Quick test_generator_shapes;
-    Alcotest.test_case "par pool basics" `Quick test_par_pool_basics;
-    Alcotest.test_case "par pool nested/errors" `Quick
-      test_par_pool_nested_and_errors;
+    Alcotest.test_case "par map reuses workers" `Quick
+      test_par_map_reuses_workers;
+    Alcotest.test_case "par map nested/errors" `Quick
+      test_par_map_nested_and_errors;
     Alcotest.test_case "par map jobs-invariant" `Quick
       test_par_map_jobs_invariant;
     Alcotest.test_case "tuning jobs-invariant" `Slow

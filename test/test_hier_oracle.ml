@@ -14,7 +14,7 @@
    sequential and strided runs that train the prefetchers, [at] not
    monotone, bursts of misses that keep lines in flight and fill the
    MSHR pool) on the three machine presets and an all-on setting, at 1,
-   4 and 8 cores (one and two L2 clusters), and
+   4 and 8 cores (one and two L2 clusters) and on 128-byte lines, and
    requires every ready cycle, every observability event and every
    [Hierarchy.stats] field to be equal, also on a hierarchy that
    [Hierarchy.create] reuses after [Hierarchy.release]. *)
@@ -128,8 +128,10 @@ module Ref = struct
     Array.iteri (fun i x -> if !r < 0 && p x then r := i) a;
     !r
 
-  (* The lines [pf] asks for after seeing one access at its level. *)
-  let observe pf ~pc ~addr ~line ~hit =
+  (* The lines [pf] asks for after seeing one access at its level; a
+     page is 4 KiB. *)
+  let observe ~line_bytes pf ~pc ~addr ~line ~hit =
+    let page_of l = l * line_bytes / 4096 in
     match pf.kind with
     | Nlp -> if hit then [] else [ line + 1 ]
     | Ipp table ->
@@ -154,13 +156,13 @@ module Ref = struct
         else begin s.s_stride <- d; s.s_conf <- 1 end;
         s.s_last <- addr;
         let target = addr + (s.s_stride * 16) in
-        if s.s_conf >= 2 && target >= 0 && target asr 6 <> line then
-          [ target asr 6 ]
+        if s.s_conf >= 2 && target >= 0 && target / line_bytes <> line then
+          [ target / line_bytes ]
         else []
       end
     | Streamer st ->
       st.clock <- st.clock + 1;
-      let page = line asr 6 in
+      let page = page_of line in
       let i = first_index (fun e -> e.p_page = page) st.table in
       if i < 0 then begin
         let v = st.table.(argmin (fun e -> e.p_used) st.table) in
@@ -178,7 +180,7 @@ module Ref = struct
         else if abs delta > 4 then begin e.p_conf <- 0; e.p_last <- line end;
         if e.p_conf >= 1 && delta > 0 then
           List.init st.degree (fun k -> e.p_last + k + 1)
-          |> List.filter (fun l -> l asr 6 = page)
+          |> List.filter (fun l -> page_of l = page)
         else []
       end
     | Amp a ->
@@ -220,7 +222,6 @@ module Ref = struct
     emit : Sink.ev -> unit;
     issued : int array; useful : int array; late : int array;
     drop_mshr : int array; drop_present : int array; evicted : int array;
-    mutable sw_dropped : int;
     mutable loads : int; mutable stores : int;
     mutable l1_miss : int; mutable l2_miss : int; mutable l3_miss : int;
     pc_l1 : (int, int) Hashtbl.t;
@@ -262,7 +263,7 @@ module Ref = struct
       emit;
       issued = counts (); useful = counts (); late = counts ();
       drop_mshr = counts (); drop_present = counts (); evicted = counts ();
-      sw_dropped = 0; loads = 0; stores = 0;
+      loads = 0; stores = 0;
       l1_miss = 0; l2_miss = 0; l3_miss = 0;
       pc_l1 = Hashtbl.create 16; pc_l2 = Hashtbl.create 16 }
 
@@ -311,7 +312,6 @@ module Ref = struct
         true
       end
       else if full cl.mshr then begin
-        if prov = sw then t.sw_dropped <- t.sw_dropped + 1;
         bump t.drop_mshr prov;
         if prov >= 0 then
           t.emit (Sink.Drop { core; prov; line; at; level;
@@ -337,7 +337,8 @@ module Ref = struct
               t.emit (Sink.Hw_prefetch { core; src = pf.id; line = l; at;
                                          level = pf.level })
             end)
-          (observe pf ~pc ~addr ~line ~hit))
+          (observe ~line_bytes:t.m.Machine.line_bytes pf ~pc ~addr ~line
+             ~hit))
       pfs
 
   let load t ~core ~pc ~addr ~at =
@@ -439,13 +440,9 @@ module Ref = struct
     let pcs h =
       List.sort compare (Hashtbl.fold (fun pc n acc -> (pc, n) :: acc) h [])
     in
-    let hw a = List.init Hp.n_ids (fun i -> (Hp.name_of_id i, a.(i))) in
     { Hierarchy.st_demand_loads = t.loads; st_demand_stores = t.stores;
       st_l1_misses = t.l1_miss; st_l2_misses = t.l2_miss;
       st_l3_misses = t.l3_miss; st_dram_lines = t.dram.lines;
-      st_sw_issued = t.issued.(sw); st_sw_dropped = t.sw_dropped;
-      st_sw_useful = t.useful.(sw);
-      st_hw_issued = hw t.issued; st_hw_useful = hw t.useful;
       st_pf =
         List.init n_prov (fun i ->
             ( slug i,
@@ -565,20 +562,28 @@ let diff machine ops =
 
 let full = Sys.getenv_opt "ASAP_DIFF_FULL" <> None
 
+(* On 64- and 128-byte lines: the prefetchers' line and page arithmetic
+   must follow the machine's line size. *)
 let qcheck_differential =
   let gen =
     QCheck2.Gen.(
-      quad (int_bound (Array.length presets - 1)) (oneofl [ 1; 4; 8 ])
-        (int_range 1 (if full then 6000 else 1500))
-        (int_bound 1_000_000))
+      pair
+        (quad (int_bound (Array.length presets - 1)) (oneofl [ 1; 4; 8 ])
+           (int_range 1 (if full then 6000 else 1500))
+           (int_bound 1_000_000))
+        (oneofl [ 64; 64; 128 ]))
   in
-  let print (p, cores, n, seed) =
-    Printf.sprintf "%s, %d cores, %d calls, seed %d" (fst presets.(p)) cores
-      n seed
+  let print ((p, cores, n, seed), line_bytes) =
+    Printf.sprintf "%s, %d cores, %d-byte lines, %d calls, seed %d"
+      (fst presets.(p)) cores line_bytes n seed
   in
-  QCheck2.Test.make ~count:(if full then 3000 else 600) ~print
-    ~name:"hierarchy = reference model" gen (fun (p, cores, n, seed) ->
-      let machine = Machine.gracemont_scaled ~hw:(snd presets.(p)) ~cores () in
+  QCheck2.Test.make ~count:(if full then 4000 else 800) ~print
+    ~name:"hierarchy = reference model" gen
+    (fun ((p, cores, n, seed), line_bytes) ->
+      let machine =
+        { (Machine.gracemont_scaled ~hw:(snd presets.(p)) ~cores ()) with
+          Machine.line_bytes }
+      in
       match diff machine (stream ~seed ~cores ~n) with
       | None -> true
       | Some what -> QCheck2.Test.fail_report what)

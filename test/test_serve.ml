@@ -22,6 +22,7 @@ module Config = Asap_serve.Config
 module Scheduler = Asap_serve.Scheduler
 module Slo = Asap_serve.Slo
 module Registry = Asap_obs.Registry
+module Jsonu = Asap_obs.Jsonu
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -599,19 +600,46 @@ let fleet_mix ~seed ~n () =
     ~tenants:[ ("alpha", 3.); ("beta", 1.) ]
     (small_profiles ())
 
+(* Records, summaries and the registry of a fleet replay are identical
+   at any [jobs]; the mix includes specialized and tuned profiles, so the
+   counters summed over the build list are covered under four shards.
+   [serve.spec.build_ns] is host time and is left out. *)
 let test_fleet_jobs_invariant () =
-  let reqs = fleet_mix ~seed:12 ~n:60 () in
+  let reqs =
+    Mix.hot_cold ~mean_gap_ms:0.002 ~seed:12 ~n:60
+      ~tenants:[ ("alpha", 3.); ("beta", 1.) ]
+      (small_profiles ()
+       @ [ Mix.profile ~specialize:true ~kernel:`Spmm "uniform:300,1200";
+           Mix.profile ~specialize:true ~variant:`Tuned "powerlaw:400,5" ])
+  in
   let config =
     Config.(
       default |> with_shards 4 |> with_quotas [ ("alpha", 24) ])
   in
-  let run jobs = lines (Scheduler.run (Config.with_jobs jobs config) reqs) in
-  let l1 = run 1 in
-  Alcotest.(check (list string)) "fleet jobs 1 = jobs 4 (byte)" l1 (run 4);
+  let run jobs = Scheduler.run (Config.with_jobs jobs config) reqs in
+  let registry rp =
+    Registry.to_assoc rp.Scheduler.rp_registry
+    |> List.filter (fun (k, _) -> k <> "serve.spec.build_ns")
+    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+  in
+  let summary rp = Jsonu.to_string (Slo.to_json rp.Scheduler.rp_summary) in
+  let rp1 = run 1 in
+  check "specialized builds in the mix" true
+    (Registry.find rp1.Scheduler.rp_registry "serve.spec.miss" > 0);
+  List.iter
+    (fun jobs ->
+      let rp = run jobs in
+      let at = Printf.sprintf "fleet jobs 1 = jobs %d" jobs in
+      Alcotest.(check (list string)) (at ^ " (byte)") (lines rp1) (lines rp);
+      Alcotest.(check string) (at ^ ": summary") (summary rp1) (summary rp);
+      check (at ^ ": shard summaries") true
+        (rp1.Scheduler.rp_shards = rp.Scheduler.rp_shards);
+      Alcotest.(check (list string)) (at ^ ": registry") (registry rp1)
+        (registry rp))
+    [ 2; 4 ];
   (* Sanity: the fleet actually fanned out. *)
-  let rp = Scheduler.run (Config.with_jobs 4 config) reqs in
   let active =
-    Array.to_list rp.Scheduler.rp_shards
+    Array.to_list rp1.Scheduler.rp_shards
     |> List.filter (fun sh -> sh.Slo.sh_ok + sh.Slo.sh_degraded > 0)
   in
   check "several shards served" true (List.length active >= 2)

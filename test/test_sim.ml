@@ -95,7 +95,7 @@ let test_nlp () =
   check "silent on hit" true (observe p ~hit:true 640 = [])
 
 let test_ipp_stride_detection () =
-  let p = Hp.l1_ipp ~streams:2 ~lookahead:4 () in
+  let p = Hp.l1_ipp ~streams:2 ~lookahead:4 ~line_shift:6 () in
   (* Train PC 1 with stride 256 (4 lines). *)
   let fire = ref [] in
   List.iter (fun a -> fire := observe p ~pc:1 a) [ 0; 256; 512; 768 ];
@@ -116,7 +116,7 @@ let test_ipp_stride_detection () =
   check "decayed stream evicted" true (observe p ~pc:1 1280 = [])
 
 let test_streamer () =
-  let p = Hp.mlc_streamer () in
+  let p = Hp.mlc_streamer ~line_shift:6 () in
   ignore (observe p 0);
   ignore (observe p 64);
   let rs = observe p 128 in
@@ -174,8 +174,9 @@ let test_hierarchy_sw_prefetch_hides_latency () =
   let t = Hierarchy.load h ~core:0 ~pc:1 ~addr:16384 ~at:1000 in
   check_int "hidden" (1000 + m.Machine.lat_l1) t;
   let st = Hierarchy.stats h in
-  check_int "one sw prefetch" 1 st.Hierarchy.st_sw_issued;
-  check_int "useful" 1 st.Hierarchy.st_sw_useful
+  let sw = List.assoc "sw" st.Hierarchy.st_pf in
+  check_int "one sw prefetch" 1 sw.Hierarchy.p_issued;
+  check_int "useful" 1 sw.Hierarchy.p_useful
 
 let test_hierarchy_prefetch_drop_on_full_mshr () =
   let m = { (Machine.gracemont ~hw:quiet_hw ()) with Machine.mshrs = 2 } in
@@ -184,8 +185,9 @@ let test_hierarchy_prefetch_drop_on_full_mshr () =
   Hierarchy.prefetch h ~core:0 ~addr:0x20000 ~locality:2 ~at:0;
   Hierarchy.prefetch h ~core:0 ~addr:0x30000 ~locality:2 ~at:0;
   let st = Hierarchy.stats h in
-  check_int "two issued" 2 st.Hierarchy.st_sw_issued;
-  check_int "one dropped" 1 st.Hierarchy.st_sw_dropped
+  let sw = List.assoc "sw" st.Hierarchy.st_pf in
+  check_int "two issued" 2 sw.Hierarchy.p_issued;
+  check_int "one dropped" 1 sw.Hierarchy.p_drop_mshr
 
 let test_hierarchy_cluster_topology () =
   (* Cores 0 and 4 live in different clusters: a line brought in by core 0
