@@ -21,7 +21,12 @@ module Encoding = Asap_tensor.Encoding
 module Storage = Asap_tensor.Storage
 module Machine = Asap_sim.Machine
 module Exec = Asap_sim.Exec
+module Stream = Asap_sim.Stream
+module Runtime = Asap_sim.Runtime
+module Interp = Asap_sim.Interp
+module Bytecode = Asap_sim.Bytecode
 module Pipeline = Asap_core.Pipeline
+module Bindings = Asap_core.Bindings
 module Driver = Asap_core.Driver
 module Select = Asap_model.Select
 module Cost_model = Asap_model.Cost_model
@@ -301,26 +306,50 @@ let engine () =
      once, replayed into fresh hierarchies (median of 5 replays after one
      untimed); exact when every ready cycle and the statistics repeat. *)
   let hier_replay scenario machine variant spec coo =
-    let r =
-      Hier_replay.record machine (fun obs ->
-          (Driver.run (Driver.Cfg.make ~obs ~machine ~variant ()) spec coo)
-            .Driver.report.Exec.rp_mem)
+    let s, r =
+      Stream.record (fun obs ->
+          Driver.run (Driver.Cfg.make ~obs ~machine ~variant ()) spec coo)
     in
-    let exact = ref (Hier_replay.replay r) in
+    let stats = r.Driver.report.Exec.rp_mem in
+    let exact = ref (Stream.replay s machine stats) in
     let wall =
       Harness.measure_wall ~warmup:0 ~reps:5 (fun () ->
-          if not (Hier_replay.replay r) then exact := false)
+          if not (Stream.replay s machine stats) then exact := false)
     in
     let scenario = "hier_replay_" ^ scenario in
     [ row scenario "exact" "bool" Virtual (flag !exact) ?gate:holds_true;
-      row scenario "accesses" "count" Virtual (count r.Hier_replay.n);
+      row scenario "accesses" "count" Virtual (count (Stream.length s));
       row scenario "ns_per_access" "ns" Host
-        (wall *. 1e9 /. count r.Hier_replay.n) ]
+        (wall *. 1e9 /. count (Stream.length s)) ]
   in
   let replays =
     hier_replay "spmv_powerlaw_60000" machine asap (Driver.Spmv enc) coo
     @ hier_replay "sddmm_csr_powerlaw_3000" machine asap
         (Driver.Sddmm enc) (matrix "powerlaw:3000,6")
+  in
+  (* The engine on its own: the same SpMV under ASaP against the
+     one-cycle port, with no hierarchy behind it (median of 9 runs of
+     about 0.1 s each after three untimed). *)
+  let free_port_minstr_per_s =
+    let compiled = Pipeline.compile (Kernel.spmv ~enc ()) asap in
+    let cc = compiled.Pipeline.cc in
+    let dense =
+      [ ("c", Runtime.RF (Array.make rows_n 1.));
+        ("a", Runtime.RF (Array.make rows_n 0.)) ]
+    in
+    let bufs =
+      Runtime.layout compiled.Pipeline.fn
+        (Bindings.storage_bufs cc st ~binary:false ~dense)
+    in
+    let prog = Bytecode.compile compiled.Pipeline.fn ~bufs in
+    let scalars = Bindings.scalar_args cc ~extents:[| rows_n; rows_n |] in
+    let mem = Stream.free_port Asap_obs.Sink.null in
+    let run () =
+      Bytecode.run ~width:machine.Machine.width ~rob_size:machine.Machine.rob
+        ~branch_miss:machine.Machine.branch_miss prog ~scalars ~mem
+    in
+    let instrs = (run ()).Interp.r_instructions in
+    count instrs /. 1e6 /. Harness.measure_wall (fun () -> ignore (run ()))
   in
   let g = "fig6_quick" and m = "spmv_powerlaw_60000"
   and p = "pack_powerlaw_60000" in
@@ -339,6 +368,8 @@ let engine () =
   @ [ row p "ns_per_nnz" "ns" Host pack_ns_per_nnz
         ?gate:(gate ~regress:true Le max_regress) ]
   @ replays
+  @ [ row "free_port_spmv_powerlaw_60000" "minstr_per_s" "Minstr/s" Host
+        free_port_minstr_per_s ]
 
 (* --- serve: hot/cold replay, cache on vs off ------------------------- *)
 
@@ -747,7 +778,7 @@ let specialize () =
         row name "wall_speedup" "x" Host wall_ratio ] )
   in
   let walls, rows = List.split (List.map scenario spec_scenarios) in
-  let geomean = Asap_metrics.Summary.geometric_mean (Array.of_list walls) in
+  let geomean = Summary.geometric_mean (Array.of_list walls) in
   let profiles =
     List.map (fun p -> { p with Mix.p_specialize = true })
       (Mix.default_profiles ())

@@ -17,7 +17,6 @@ module Par = Asap_core.Par
 module Asap = Asap_prefetch.Asap
 module Aj = Asap_prefetch.Ainsworth_jones
 module Suite = Asap_workloads.Suite
-module Summary = Asap_metrics.Summary
 
 type hw = Default | Optimized
 

@@ -34,9 +34,6 @@ module Asap = Asap_prefetch.Asap
 module Aj = Asap_prefetch.Ainsworth_jones
 module Suite = Asap_workloads.Suite
 module Generate = Asap_workloads.Generate
-module Summary = Asap_metrics.Summary
-module Regress = Asap_metrics.Regress
-module Roofline = Asap_metrics.Roofline
 open Harness
 
 (* ------------------------------------------------------------------ *)

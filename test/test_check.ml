@@ -2,7 +2,8 @@
    operator at its boundary, failing rows named, regress rows against a
    baseline file including a missing baseline row) and the pipeline
    suite run live, so the row schema and its gates cannot rot between
-   @bench-smoke runs. *)
+   @bench-smoke runs; and the bench library's metrics (summary
+   statistics, least-squares fit, roofline). *)
 
 module Jsonu = Asap_obs.Jsonu
 
@@ -102,10 +103,72 @@ let test_pipeline_suite () =
   check "(scenario, metric) unique" true
     (List.length (List.sort_uniq compare keys) = List.length keys)
 
+(* --- Metrics: the summary statistics, fits and roofline of the tables *)
+
+let test_summary () =
+  let xs = [| 2.; 4.; 8. |] in
+  check "hmean" true
+    (Float.abs (Summary.harmonic_mean xs -. (3. /. 0.875)) < 1e-9);
+  check "mean" true (Summary.mean xs = 14. /. 3.);
+  check "geomean" true (Float.abs (Summary.geometric_mean xs -. 4.) < 1e-9);
+  let e = Summary.ews ~base:[| 1.; 1. |] ~variant:[| 2.; 2. |] in
+  check "ews 2x" true (Float.abs (e -. 2.) < 1e-9);
+  check "cov of constant" true (Summary.cov [| 5.; 5.; 5. |] = 0.)
+
+let test_regress () =
+  let pts = Array.init 20 (fun i ->
+      let x = float_of_int i in
+      (x, (0.5 *. x) +. 3.))
+  in
+  let f = Regress.fit pts in
+  check "slope" true (Float.abs (f.Regress.slope -. 0.5) < 1e-9);
+  check "intercept" true (Float.abs (f.Regress.intercept -. 3.) < 1e-9);
+  check "r2 perfect" true (f.Regress.r2 > 0.999);
+  check "break-even" true (Float.abs (Regress.x_at f 4.) -. 2. < 1e-9);
+  check "render" true (Astring_contains.contains (Regress.to_string f) "R^2")
+
+let test_roofline () =
+  let m =
+    Roofline.of_machine ~freq_ghz:2.4 ~width:3 ~line_bytes:64 ~dram_gap:2
+      ~lat_l2:17 ~lat_l3:50 ~threads:1 ()
+  in
+  (* Low intensity: bandwidth bound; high intensity: compute bound. *)
+  let low = Roofline.attainable m ~ceiling:"DRAM" ~ai:0.01 in
+  let high = Roofline.attainable m ~ceiling:"DRAM" ~ai:100. in
+  check "bw bound" true (low < m.Roofline.peak_gflops);
+  check "compute bound" true (high = m.Roofline.peak_gflops);
+  check "point renders" true
+    (Astring_contains.contains
+       (Roofline.point_to_string m
+          { Roofline.p_label = "x"; p_ai = 0.1; p_gflops = 1.0 })
+       "GFLOP/s")
+
+let test_metrics_edge_cases () =
+  (try
+     let (_ : float) = Summary.harmonic_mean [| 1.; 0. |] in
+     Alcotest.fail "hmean accepted non-positive"
+   with Invalid_argument _ -> ());
+  (try
+     let (_ : float) = Summary.ews ~base:[| 1. |] ~variant:[| 1.; 2. |] in
+     Alcotest.fail "ews accepted mismatched lengths"
+   with Invalid_argument _ -> ());
+  (try
+     let (_ : Regress.fit) = Regress.fit [| (1., 1.) |] in
+     Alcotest.fail "fit accepted a single point"
+   with Invalid_argument _ -> ());
+  (try
+     let (_ : Regress.fit) = Regress.fit [| (2., 1.); (2., 3.) |] in
+     Alcotest.fail "fit accepted degenerate x"
+   with Invalid_argument _ -> ())
+
 let suite =
   [ Alcotest.test_case "gate operators at the boundary" `Quick
       test_operators;
     Alcotest.test_case "failing row named" `Quick test_failing_row_named;
     Alcotest.test_case "regress vs baseline" `Quick test_regress_baseline;
     Alcotest.test_case "pipeline suite gates live" `Quick
-      test_pipeline_suite ]
+      test_pipeline_suite;
+    Alcotest.test_case "summary stats" `Quick test_summary;
+    Alcotest.test_case "regression fit" `Quick test_regress;
+    Alcotest.test_case "roofline" `Quick test_roofline;
+    Alcotest.test_case "metrics edge cases" `Quick test_metrics_edge_cases ]

@@ -1,5 +1,5 @@
 (* End-to-end tests: driver correctness across kernels, formats and
-   prefetch variants; metrics; workload generators. *)
+   prefetch variants; workload generators. *)
 
 module Coo = Asap_tensor.Coo
 module Encoding = Asap_tensor.Encoding
@@ -14,9 +14,6 @@ module Aj = Asap_prefetch.Ainsworth_jones
 module Rng = Asap_workloads.Rng
 module Generate = Asap_workloads.Generate
 module Suite = Asap_workloads.Suite
-module Summary = Asap_metrics.Summary
-module Regress = Asap_metrics.Regress
-module Roofline = Asap_metrics.Roofline
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -337,65 +334,7 @@ let test_reference_binary () =
   let a = Reference.spmv_binary coo [| 1; 0 |] in
   check "binary" true (a = [| 1; 0 |])
 
-(* --- Metrics ------------------------------------------------------- *)
-
-let test_summary () =
-  let xs = [| 2.; 4.; 8. |] in
-  check "hmean" true
-    (Float.abs (Summary.harmonic_mean xs -. (3. /. 0.875)) < 1e-9);
-  check "mean" true (Summary.mean xs = 14. /. 3.);
-  check "geomean" true (Float.abs (Summary.geometric_mean xs -. 4.) < 1e-9);
-  let e = Summary.ews ~base:[| 1.; 1. |] ~variant:[| 2.; 2. |] in
-  check "ews 2x" true (Float.abs (e -. 2.) < 1e-9);
-  check "cov of constant" true (Summary.cov [| 5.; 5.; 5. |] = 0.)
-
-let test_regress () =
-  let pts = Array.init 20 (fun i ->
-      let x = float_of_int i in
-      (x, (0.5 *. x) +. 3.))
-  in
-  let f = Regress.fit pts in
-  check "slope" true (Float.abs (f.Regress.slope -. 0.5) < 1e-9);
-  check "intercept" true (Float.abs (f.Regress.intercept -. 3.) < 1e-9);
-  check "r2 perfect" true (f.Regress.r2 > 0.999);
-  check "break-even" true (Float.abs (Regress.x_at f 4.) -. 2. < 1e-9);
-  check "render" true (Astring_contains.contains (Regress.to_string f) "R^2")
-
-let test_roofline () =
-  let m =
-    Roofline.of_machine ~freq_ghz:2.4 ~width:3 ~line_bytes:64 ~dram_gap:2
-      ~lat_l2:17 ~lat_l3:50 ~threads:1 ()
-  in
-  (* Low intensity: bandwidth bound; high intensity: compute bound. *)
-  let low = Roofline.attainable m ~ceiling:"DRAM" ~ai:0.01 in
-  let high = Roofline.attainable m ~ceiling:"DRAM" ~ai:100. in
-  check "bw bound" true (low < m.Roofline.peak_gflops);
-  check "compute bound" true (high = m.Roofline.peak_gflops);
-  check "point renders" true
-    (Astring_contains.contains
-       (Roofline.point_to_string m
-          { Roofline.p_label = "x"; p_ai = 0.1; p_gflops = 1.0 })
-       "GFLOP/s")
-
 (* --- Workloads ----------------------------------------------------- *)
-
-let test_metrics_edge_cases () =
-  (try
-     let (_ : float) = Summary.harmonic_mean [| 1.; 0. |] in
-     Alcotest.fail "hmean accepted non-positive"
-   with Invalid_argument _ -> ());
-  (try
-     let (_ : float) = Summary.ews ~base:[| 1. |] ~variant:[| 1.; 2. |] in
-     Alcotest.fail "ews accepted mismatched lengths"
-   with Invalid_argument _ -> ());
-  (try
-     let (_ : Regress.fit) = Regress.fit [| (1., 1.) |] in
-     Alcotest.fail "fit accepted a single point"
-   with Invalid_argument _ -> ());
-  (try
-     let (_ : Regress.fit) = Regress.fit [| (2., 1.); (2., 3.) |] in
-     Alcotest.fail "fit accepted degenerate x"
-   with Invalid_argument _ -> ())
 
 let test_bindings_errors () =
   let coo = small_matrix 10 in
@@ -601,10 +540,6 @@ let suite =
     Alcotest.test_case "reference spmv" `Quick test_reference_spmv;
     Alcotest.test_case "reference spmm" `Quick test_reference_spmm;
     Alcotest.test_case "reference binary" `Quick test_reference_binary;
-    Alcotest.test_case "summary stats" `Quick test_summary;
-    Alcotest.test_case "regression fit" `Quick test_regress;
-    Alcotest.test_case "roofline" `Quick test_roofline;
-    Alcotest.test_case "metrics edge cases" `Quick test_metrics_edge_cases;
     Alcotest.test_case "bindings errors" `Quick test_bindings_errors;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng power law" `Quick test_rng_power_law_bounds;

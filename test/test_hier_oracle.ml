@@ -17,12 +17,17 @@
    4 and 8 cores (one and two L2 clusters) and on 128-byte lines, and
    requires every ready cycle, every observability event and every
    [Hierarchy.stats] field to be equal, also on a hierarchy that
-   [Hierarchy.create] reuses after [Hierarchy.release]. *)
+   [Hierarchy.create] reuses after [Hierarchy.release]. It does the same
+   with the streams real kernel runs make, recorded by [Stream]. *)
 
 module Machine = Asap_sim.Machine
 module Hierarchy = Asap_sim.Hierarchy
 module Hp = Asap_sim.Hw_prefetcher
 module Sink = Asap_obs.Sink
+module Stream = Asap_sim.Stream
+module Encoding = Asap_tensor.Encoding
+module Driver = Asap_core.Driver
+module Pipeline = Asap_core.Pipeline
 
 module Ref = struct
   let demand = -1
@@ -455,11 +460,6 @@ end
 
 (* --- Streams ----------------------------------------------------------- *)
 
-type op =
-  | Load of { core : int; pc : int; addr : int; at : int }
-  | Store of { core : int; pc : int; addr : int; at : int }
-  | Prefetch of { core : int; addr : int; locality : int; at : int }
-
 (* The three machine presets, and every prefetcher on (the only setting
    with the L2 next-line unit). *)
 let presets =
@@ -477,7 +477,7 @@ let presets =
    few lines ahead of a cursor. [at] advances by a few cycles per call,
    far less than a DRAM fill, so lines stay in flight and the MSHR pool
    fills; now and then it jumps ahead (the pool drains) or steps back. *)
-let stream ~seed ~cores ~n : op array =
+let stream ~seed ~cores ~n : Stream.event array =
   let rs = Random.State.make [| seed |] in
   let int k = Random.State.int rs k in
   (* 8 KiB is 128 lines, the L2's set count: the L2 AMP then requests
@@ -511,10 +511,11 @@ let stream ~seed ~cores ~n : op array =
       in
       match int 20 with
       | 0 | 1 | 2 ->
-        Prefetch { core; addr = addr + (64 * int 12); locality = int 4; at }
-      | 3 | 4 -> Store { core; pc = 0x10000 + k; addr; at }
-      | 5 -> Load { core; pc = 60 + int 200; addr; at }
-      | _ -> Load { core; pc = k; addr; at })
+        Stream.Prefetch
+          { core; addr = addr + (64 * int 12); locality = int 4; at }
+      | 3 | 4 -> Stream.Store { core; pc = 0x10000 + k; addr; at }
+      | 5 -> Stream.Load { core; pc = 60 + int 200; addr; at }
+      | _ -> Stream.Load { core; pc = k; addr; at })
 
 (* Runs [ops] through a hierarchy from [Hierarchy.create] and a fresh
    [Ref] on [machine], then releases the hierarchy: [None] when every
@@ -530,15 +531,15 @@ let diff1 machine ops =
   Array.iteri
     (fun i op ->
       match op with
-      | Load { core; pc; addr; at } ->
+      | Stream.Load { core; pc; addr; at } ->
         let got = Hierarchy.load h ~core ~pc ~addr ~at
         and want = Ref.load r ~core ~pc ~addr ~at in
         if got <> want && !first = None then
           first := Some (Printf.sprintf "call %d: ready %d, want %d" i got want)
-      | Store { core; pc; addr; at } ->
+      | Stream.Store { core; pc; addr; at } ->
         Hierarchy.store h ~core ~pc ~addr ~at;
         Ref.store r ~core ~pc ~addr ~at
-      | Prefetch { core; addr; locality; at } ->
+      | Stream.Prefetch { core; addr; locality; at } ->
         Hierarchy.prefetch h ~core ~addr ~locality ~at;
         Ref.prefetch r ~core ~addr ~locality ~at)
     ops;
@@ -605,9 +606,9 @@ let qcheck_lru_stack =
     let h = Hierarchy.create m in
     Array.iter
       (function
-        | Load { pc; addr; at; _ } ->
+        | Stream.Load { pc; addr; at; _ } ->
           ignore (Hierarchy.load h ~core:0 ~pc ~addr ~at)
-        | Store _ | Prefetch _ -> ())
+        | Stream.Store _ | Stream.Prefetch _ -> ())
       ops;
     (Hierarchy.stats h).Hierarchy.st_l1_misses
   in
@@ -623,6 +624,71 @@ let qcheck_lru_stack =
       in
       non_increasing misses)
 
+(* Real kernel streams: every spmv/spmm/sddmm x csr/dcsr/bsr2x2 x
+   baseline/asap/aj run [Driver.run] accepts on a small matrix, recorded
+   with [Stream] at 1 core and, where the top level is dense (not dcsr),
+   at 4 cores. They carry the ROB-windowed issue times and software
+   prefetch mixes the random streams only approximate. Each recording
+   must replay exactly into a fresh hierarchy and go through [diff]; the
+   prefetcher preset rotates over the runs. *)
+let test_recorded_streams () =
+  let n = if full then 600 else 96 in
+  let coo =
+    Asap_workloads.Generate.power_law ~seed:5 ~rows:n ~cols:n ~avg_deg:5
+      ~alpha:2.0 ()
+  in
+  let kernels =
+    [ ("spmv", fun e -> Driver.Spmv e); ("spmm", fun e -> Driver.Spmm e);
+      ("sddmm", fun e -> Driver.Sddmm e) ]
+  and formats =
+    [ ("csr", Encoding.csr ()); ("dcsr", Encoding.dcsr ());
+      ("bsr2x2", Encoding.bsr ~bh:2 ~bw:2 ()) ]
+  and variants =
+    [ Pipeline.Baseline; Pipeline.Asap Asap_prefetch.Asap.default;
+      Pipeline.Ainsworth_jones Asap_prefetch.Ainsworth_jones.default ]
+  in
+  let runs = ref 0 in
+  List.iter
+    (fun (kname, kernel) ->
+      List.iter
+        (fun (fname, enc) ->
+          List.iter
+            (fun variant ->
+              List.iter
+                (fun threads ->
+                  if threads = 1 || enc.Encoding.levels.(0) = Encoding.Dense
+                  then begin
+                    let name, hw = presets.(!runs mod Array.length presets) in
+                    let machine =
+                      Machine.gracemont_scaled ~hw ~cores:threads ()
+                    in
+                    let s, r =
+                      Stream.record (fun obs ->
+                          Driver.run
+                            (Driver.Cfg.make ~obs ~threads ~machine ~variant ())
+                            (kernel enc) coo)
+                    in
+                    incr runs;
+                    let what =
+                      Printf.sprintf "%s %s, %s, %d cores, %s" kname fname
+                        (Pipeline.variant_name variant) threads name
+                    in
+                    let stats = r.Driver.report.Asap_sim.Exec.rp_mem in
+                    if not (Stream.replay s machine stats) then
+                      Alcotest.failf "%s: replay not exact" what;
+                    Option.iter
+                      (fun d -> Alcotest.failf "%s: %s" what d)
+                      (diff machine (Array.of_list (Stream.events s)))
+                  end)
+                [ 1; 4 ])
+            variants)
+        formats)
+    kernels;
+  (* 3 kernels x 3 variants x (3 formats at 1 core + 2 at 4). *)
+  Alcotest.(check int) "every combination ran" 45 !runs
+
 let suite =
   [ QCheck_alcotest.to_alcotest qcheck_differential;
-    QCheck_alcotest.to_alcotest qcheck_lru_stack ]
+    QCheck_alcotest.to_alcotest qcheck_lru_stack;
+    Alcotest.test_case "recorded kernel streams = reference model" `Quick
+      test_recorded_streams ]

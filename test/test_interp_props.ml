@@ -10,10 +10,7 @@ open Asap_ir
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let free_mem =
-  { Interp.m_load = (fun ~pc:_ ~addr:_ ~at -> at + 1);
-    m_store = (fun ~pc:_ ~addr:_ ~at:_ -> ());
-    m_prefetch = (fun ~addr:_ ~locality:_ ~at:_ -> ()) }
+let free_port = Asap_sim.Stream.free_port Asap_obs.Sink.null
 
 (* Random integer expression trees over a small positive domain (keeps
    division and shift well-defined). *)
@@ -83,7 +80,7 @@ let qcheck_int_expr =
       let out = Array.make 1 0 in
       let bufs = Runtime.layout fn [ (dst, Runtime.RI out) ] in
       let (_ : Interp.result) =
-        Interp.run fn ~bufs ~scalars:[] ~mem:free_mem
+        Interp.run fn ~bufs ~scalars:[] ~mem:free_port
       in
       out.(0) = eval_iexpr e)
 
@@ -104,7 +101,7 @@ let qcheck_fold_preserves =
       let out = Array.make 1 0 in
       let bufs = Runtime.layout fn' [ (dst, Runtime.RI out) ] in
       let (_ : Interp.result) =
-        Interp.run fn' ~bufs ~scalars:[] ~mem:free_mem
+        Interp.run fn' ~bufs ~scalars:[] ~mem:free_port
       in
       out.(0) = eval_iexpr e)
 
@@ -128,7 +125,7 @@ let test_while_gauss () =
   let out = Array.make 1 0 in
   let bufs = Runtime.layout fn [ (dst, Runtime.RI out) ] in
   let (_ : Interp.result) =
-    Interp.run fn ~bufs ~scalars:[ 10 ] ~mem:free_mem
+    Interp.run fn ~bufs ~scalars:[ 10 ] ~mem:free_port
   in
   check_int "gauss" 45 out.(0)
 
@@ -147,7 +144,7 @@ let test_if_branches () =
     let out = Array.make 1 0 in
     let bufs = Runtime.layout fn [ (dst, Runtime.RI out) ] in
     let (_ : Interp.result) =
-      Interp.run fn ~bufs ~scalars:[ n ] ~mem:free_mem
+      Interp.run fn ~bufs ~scalars:[ n ] ~mem:free_port
     in
     out.(0)
   in
@@ -176,7 +173,7 @@ let test_nested_carried_loops () =
   let fn = Builder.finish b "nest" in
   let out = Array.make 1 0 in
   let bufs = Runtime.layout fn [ (dst, Runtime.RI out) ] in
-  let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[ 4 ] ~mem:free_mem in
+  let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[ 4 ] ~mem:free_port in
   (* sum_{i<4} sum_{j<4} i*j = (0+1+2+3)^2 = 36 *)
   check_int "nested sum" 36 out.(0)
 
@@ -194,7 +191,7 @@ let test_dim_and_cast () =
     Runtime.layout fn
       [ (src, Runtime.RF (Array.make 17 0.)); (dst, Runtime.RF out) ]
   in
-  let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[] ~mem:free_mem in
+  let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[] ~mem:free_port in
   check "dim->cast" true (out.(0) = 17.)
 
 let test_byte_buffer_ops () =
@@ -209,7 +206,7 @@ let test_byte_buffer_ops () =
   let fn = Builder.finish b "bytes" in
   let data = Bytes.make 1 '\001' in
   let bufs = Runtime.layout fn [ (buf, Runtime.RB data) ] in
-  let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[] ~mem:free_mem in
+  let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[] ~mem:free_port in
   check_int "masked to 8 bits" ((300 lor 1) land 0xff)
     (Bytes.get_uint8 data 0)
 

@@ -245,10 +245,7 @@ let test_runtime_layout_and_fault () =
 
 (* --- Interp -------------------------------------------------------- *)
 
-let free_mem =
-  { Interp.m_load = (fun ~pc:_ ~addr:_ ~at -> at + 1);
-    m_store = (fun ~pc:_ ~addr:_ ~at:_ -> ());
-    m_prefetch = (fun ~addr:_ ~locality:_ ~at:_ -> ()) }
+let free_port = Asap_sim.Stream.free_port Asap_obs.Sink.null
 
 let copy_fn () =
   let b = Builder.create () in
@@ -266,7 +263,7 @@ let test_interp_copy_semantics () =
   let s = Array.init 16 float_of_int in
   let d = Array.make 16 0. in
   let bufs = Runtime.layout fn [ (src, Runtime.RF s); (dst, Runtime.RF d) ] in
-  let r = Interp.run fn ~bufs ~scalars:[ 16 ] ~mem:free_mem in
+  let r = Interp.run fn ~bufs ~scalars:[ 16 ] ~mem:free_port in
   check "copied" true (d = s);
   check_int "loads" 16 r.Interp.r_loads;
   check_int "stores" 16 r.Interp.r_stores;
@@ -312,7 +309,7 @@ let test_interp_division_trap () =
   let fn = Builder.finish b "div0" in
   let bufs = Runtime.layout fn [ (dst, Runtime.RI (Array.make 1 0)) ] in
   (try
-     let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[] ~mem:free_mem in
+     let (_ : Interp.result) = Interp.run fn ~bufs ~scalars:[] ~mem:free_port in
      Alcotest.fail "expected Trap"
    with Interp.Trap _ -> ())
 
@@ -322,7 +319,7 @@ let test_interp_slice () =
   let d = Array.make 16 (-1.) in
   let bufs = Runtime.layout fn [ (src, Runtime.RF s); (dst, Runtime.RF d) ] in
   let (_ : Interp.result) =
-    Interp.run ~slice:(4, 8) fn ~bufs ~scalars:[ 16 ] ~mem:free_mem
+    Interp.run ~slice:(4, 8) fn ~bufs ~scalars:[ 16 ] ~mem:free_port
   in
   check "outside slice untouched" true (d.(0) = -1. && d.(8) = -1.);
   check "inside slice copied" true (d.(4) = 4. && d.(7) = 7.)

@@ -28,10 +28,7 @@ open Asap_ir
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let free_mem =
-  { Interp.m_load = (fun ~pc:_ ~addr:_ ~at -> at + 1);
-    m_store = (fun ~pc:_ ~addr:_ ~at:_ -> ());
-    m_prefetch = (fun ~addr:_ ~locality:_ ~at:_ -> ()) }
+let free_port = Asap_sim.Stream.free_port Asap_obs.Sink.null
 
 (* --- The rewrite on a hand-built function ----------------------------
    The shape the BSR emitter produces: an outer loop over nb blocks
@@ -70,7 +67,7 @@ let run_specialized fn scalars rows =
   let dst = match dst with Ir.Pbuf buf -> buf | _ -> assert false in
   let bufs = Runtime.layout fn' [ (dst, Runtime.RI out) ] in
   let (_ : Interp.result) =
-    Interp.run fn' ~bufs ~scalars ~mem:free_mem
+    Interp.run fn' ~bufs ~scalars ~mem:free_port
   in
   (stats, out)
 

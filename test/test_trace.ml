@@ -1,8 +1,8 @@
-(* Trace-based validation of prefetch coverage: mechanically checks the
+(* Stream-based validation of prefetch coverage: mechanically checks the
    paper's §3.2.2 claim — ASaP's whole-buffer bound covers the dense
    operand's lines across segment boundaries, while the segment-local
-   bound leaves the head of every short segment uncovered — independent of
-   the timing model. *)
+   bound leaves the head of every short segment uncovered — on the
+   one-cycle port, independent of the timing model. *)
 
 module Coo = Asap_tensor.Coo
 module Storage = Asap_tensor.Storage
@@ -10,7 +10,7 @@ module Encoding = Asap_tensor.Encoding
 module Kernel = Asap_lang.Kernel
 module Runtime = Asap_sim.Runtime
 module Interp = Asap_sim.Interp
-module Trace = Asap_sim.Trace
+module Stream = Asap_sim.Stream
 module Pipeline = Asap_core.Pipeline
 module Bindings = Asap_core.Bindings
 module Asap = Asap_prefetch.Asap
@@ -19,106 +19,109 @@ open Asap_ir
 
 let check = Alcotest.(check bool)
 
-(* Run CSR SpMV under [variant] and return the coverage of c's lines by
-   software prefetches, plus the raw trace. *)
-let spmv_coverage coo variant =
+(* [coverage ?late events ~range ~line_bytes] is (covered, total): over
+   demand loads whose address falls in [range) — one operand's buffer —
+   how many distinct lines were software-prefetched before their first
+   demand touch. With [~late:n] a prefetch only counts when it ran at
+   least [n] time units before that touch (prefetches inside the cutoff
+   were issued too late to hide the fill); default 0. *)
+let coverage ?(late = 0) events ~range:(lo, hi) ~line_bytes =
+  let prefetched = Hashtbl.create 64 in        (* line -> earliest pf time *)
+  let covered = ref 0 and total = ref 0 in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Stream.Prefetch { addr; at; _ } when addr >= lo && addr < hi ->
+        let line = addr / line_bytes in
+        if not (Hashtbl.mem prefetched line) then
+          Hashtbl.add prefetched line at
+      | Stream.Load { addr; at; _ } when addr >= lo && addr < hi ->
+        let line = addr / line_bytes in
+        if not (Hashtbl.mem seen line) then begin
+          Hashtbl.add seen line ();
+          incr total;
+          match Hashtbl.find_opt prefetched line with
+          | Some pf_at when at - pf_at >= late -> incr covered
+          | Some _ | None -> ()
+        end
+      | Stream.Load _ | Stream.Store _ | Stream.Prefetch _ -> ())
+    events;
+  (!covered, !total)
+
+(* Run CSR SpMV under [variant] on the one-cycle port: the recorded
+   events and the address range of the dense operand c. *)
+let spmv_events coo variant =
   let enc = Encoding.csr () in
   let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
   let compiled = Pipeline.compile (Kernel.spmv ~enc ()) variant in
-  let st = Storage.pack enc coo in
-  let cvec = Array.init cols (fun j -> float_of_int j) in
-  let out = Array.make rows 0. in
-  let dense = [ ("c", Runtime.RF cvec); ("a", Runtime.RF out) ] in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let scalars =
-    Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |]
+  let dense =
+    [ ("c", Runtime.RF (Array.init cols float_of_int));
+      ("a", Runtime.RF (Array.make rows 0.)) ]
+  in
+  let bufs =
+    Bindings.storage_bufs compiled.Pipeline.cc (Storage.pack enc coo)
+      ~binary:false ~dense
   in
   let bound = Runtime.layout compiled.Pipeline.fn bufs in
-  let c_bound =
-    let arr = Array.to_list bound in
-    List.find (fun (b : Runtime.bound) -> b.Runtime.buf.Ir.bname = "c") arr
+  let c =
+    List.find (fun (b : Runtime.bound) -> b.Runtime.buf.Ir.bname = "c")
+      (Array.to_list bound)
   in
-  let t = Trace.create () in
-  let mem = Trace.wrap t Trace.free_mem in
-  let (_ : Interp.result) =
-    Interp.run compiled.Pipeline.fn ~bufs:bound ~scalars ~mem
+  let stream, (_ : Interp.result) =
+    Stream.record (fun obs ->
+        Interp.run compiled.Pipeline.fn ~bufs:bound
+          ~scalars:
+            (Bindings.scalar_args compiled.Pipeline.cc
+               ~extents:[| rows; cols |])
+          ~mem:(Stream.free_port obs))
   in
-  let lo = c_bound.Runtime.base in
-  let hi = lo + (Runtime.length_of c_bound.Runtime.data * 8) in
-  Trace.coverage t ~range:(lo, hi) ~line_bytes:64
+  let lo = c.Runtime.base in
+  (Stream.events stream, (lo, lo + (Runtime.length_of c.Runtime.data * 8)))
+
+let spmv_coverage coo variant =
+  let events, range = spmv_events coo variant in
+  coverage events ~range ~line_bytes:64
 
 (* Short rows (degree ~3) against distance 8. *)
 let short_row_matrix () =
   Generate.power_law ~seed:81 ~rows:3_000 ~cols:3_000 ~avg_deg:3 ~alpha:2.4 ()
 
+let asap8 = Pipeline.Asap { Asap.default with Asap.distance = 8 }
+
+let check_pair msg want got =
+  Alcotest.(check (pair int int)) msg want got
+
 let test_semantic_bound_covers () =
-  let coo = short_row_matrix () in
-  let covered, total =
-    spmv_coverage coo
-      (Pipeline.Asap { Asap.default with Asap.distance = 8 })
-  in
   (* The whole-buffer bound misses only the first `distance` iterations'
      worth of lines; everything after is prefetched ahead across segment
      boundaries. *)
-  check
-    (Printf.sprintf "semantic covers most lines (%d/%d)" covered total)
-    true
-    (float_of_int covered /. float_of_int total > 0.9)
+  check_pair "semantic covers 367 of 375 lines" (367, 375)
+    (spmv_coverage (short_row_matrix ()) asap8)
 
 let test_segment_bound_undercovers () =
-  let coo = short_row_matrix () in
-  let sem, total =
-    spmv_coverage coo
-      (Pipeline.Asap { Asap.default with Asap.distance = 8 })
-  in
-  let seg, total' =
-    spmv_coverage coo
-      (Pipeline.Asap
-         { Asap.default with Asap.distance = 8;
-           bound_mode = Asap.Segment_local })
-  in
-  check "same demand footprint" true (total = total');
   (* With rows far shorter than the distance, the segment-local clamp can
-     only ever prefetch each segment's last element — far less coverage. *)
-  check
-    (Printf.sprintf "segment-local covers less (%d < %d)" seg sem)
-    true
-    (seg < sem);
-  check "segment-local misses a large fraction" true
-    (float_of_int seg /. float_of_int total' < 0.8)
+     only ever prefetch each segment's last element — far less coverage
+     over the same demand footprint. *)
+  check_pair "segment-local covers 96 of 375 lines" (96, 375)
+    (spmv_coverage (short_row_matrix ())
+       (Pipeline.Asap
+          { Asap.default with Asap.distance = 8;
+            bound_mode = Asap.Segment_local }))
 
 let test_baseline_no_prefetches () =
-  let coo = short_row_matrix () in
-  let covered, total = spmv_coverage coo Pipeline.Baseline in
-  check "baseline never prefetches" true (covered = 0 && total > 0)
+  check_pair "baseline never prefetches" (0, 375)
+    (spmv_coverage (short_row_matrix ()) Pipeline.Baseline)
 
 let test_trace_event_order () =
   (* Events appear in program order: for ASaP's site the step-1 crd
      prefetch precedes the bounded load which precedes the target
      prefetch, every iteration. *)
   let coo = Coo.of_triples ~rows:2 ~cols:2 [ (0, 0, 1.); (1, 1, 2.) ] in
-  let enc = Encoding.csr () in
-  let compiled =
-    Pipeline.compile (Kernel.spmv ~enc ())
-      (Pipeline.Asap { Asap.default with Asap.distance = 2 })
-  in
-  let st = Storage.pack enc coo in
-  let dense =
-    [ ("c", Runtime.RF [| 1.; 2. |]); ("a", Runtime.RF (Array.make 2 0.)) ]
-  in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let bound = Runtime.layout compiled.Pipeline.fn bufs in
-  let t = Trace.create () in
-  let (_ : Interp.result) =
-    Interp.run compiled.Pipeline.fn ~bufs:bound
-      ~scalars:
-        (Bindings.scalar_args compiled.Pipeline.cc ~extents:[| 2; 2 |])
-      ~mem:(Trace.wrap t Trace.free_mem)
+  let events, _ =
+    spmv_events coo (Pipeline.Asap { Asap.default with Asap.distance = 2 })
   in
   let prefetches =
-    List.filter
-      (function Trace.Prefetch _ -> true | _ -> false)
-      (Trace.events t)
+    List.filter (function Stream.Prefetch _ -> true | _ -> false) events
   in
   (* Two sites executed (one nnz per row): 2 prefetches each. *)
   check "four prefetches traced" true (List.length prefetches = 4)
@@ -127,63 +130,39 @@ let test_late_cutoff () =
   (* coverage ~late:n only credits prefetches issued at least n time
      units ahead of the first demand touch: monotone non-increasing in n,
      unchanged at 0, and empty once the cutoff exceeds every lead. *)
-  let coo = short_row_matrix () in
-  let variant = Pipeline.Asap { Asap.default with Asap.distance = 8 } in
-  let enc = Encoding.csr () in
-  let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
-  let compiled = Pipeline.compile (Kernel.spmv ~enc ()) variant in
-  let st = Storage.pack enc coo in
-  let dense =
-    [ ("c", Runtime.RF (Array.init cols float_of_int));
-      ("a", Runtime.RF (Array.make rows 0.)) ]
-  in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let bound = Runtime.layout compiled.Pipeline.fn bufs in
-  let c_bound =
-    List.find (fun (b : Runtime.bound) -> b.Runtime.buf.Ir.bname = "c")
-      (Array.to_list bound)
-  in
-  let t = Trace.create () in
-  let (_ : Interp.result) =
-    Interp.run compiled.Pipeline.fn ~bufs:bound
-      ~scalars:
-        (Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |])
-      ~mem:(Trace.wrap t Trace.free_mem)
-  in
-  let lo = c_bound.Runtime.base in
-  let hi = lo + (Runtime.length_of c_bound.Runtime.data * 8) in
-  let range = (lo, hi) in
-  let cov late = fst (Trace.coverage ~late t ~range ~line_bytes:64) in
-  let c0 = fst (Trace.coverage t ~range ~line_bytes:64) in
+  let events, range = spmv_events (short_row_matrix ()) asap8 in
+  let cov late = fst (coverage ~late events ~range ~line_bytes:64) in
+  let c0 = fst (coverage events ~range ~line_bytes:64) in
   check "late:0 = default" true (cov 0 = c0);
   check "covered at all" true (c0 > 0);
   check "cutoff monotone" true (cov 10 <= c0 && cov 100 <= cov 10);
   check "huge cutoff empties coverage" true (cov max_int = 0)
 
 let test_trace_sink () =
-  (* Trace as a first-class sink on the timing hierarchy: the same
-     program-order event list, fed by Exec instead of a wrapped port. *)
+  (* The same recorder on the timing hierarchy's sink, fed by Exec
+     instead of the one-cycle port. *)
   let coo = Coo.of_triples ~rows:2 ~cols:2 [ (0, 0, 1.); (1, 1, 2.) ] in
   let enc = Encoding.csr () in
   let machine = Asap_sim.Machine.gracemont_scaled () in
-  let t = Trace.create () in
-  let cfg =
-    Asap_core.Driver.Cfg.make ~machine
-      ~variant:(Pipeline.Asap { Asap.default with Asap.distance = 2 })
-      ~obs:(Trace.sink t) ()
+  let stream, r =
+    Stream.record (fun obs ->
+        Asap_core.Driver.run
+          (Asap_core.Driver.Cfg.make ~machine
+             ~variant:(Pipeline.Asap { Asap.default with Asap.distance = 2 })
+             ~obs ())
+          (Asap_core.Driver.Spmv enc) coo)
   in
-  let r = Asap_core.Driver.run cfg (Asap_core.Driver.Spmv enc) coo in
-  let events = Trace.events t in
+  let events = Stream.events stream in
   let count p = List.length (List.filter p events) in
   let module Exec = Asap_sim.Exec in
   check "sink saw every demand load" true
-    (count (function Trace.Load _ -> true | _ -> false)
+    (count (function Stream.Load _ -> true | _ -> false)
      = Exec.Report.demand_loads r.Asap_core.Driver.report);
   check "sink saw every store" true
-    (count (function Trace.Store _ -> true | _ -> false)
+    (count (function Stream.Store _ -> true | _ -> false)
      = Exec.Report.demand_stores r.Asap_core.Driver.report);
   check "sink saw every sw prefetch" true
-    (count (function Trace.Prefetch _ -> true | _ -> false)
+    (count (function Stream.Prefetch _ -> true | _ -> false)
      = Exec.Report.prefetch_instrs r.Asap_core.Driver.report)
 
 let suite =

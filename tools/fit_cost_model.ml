@@ -20,7 +20,6 @@ module Tuning = Asap_core.Tuning
 module Generate = Asap_workloads.Generate
 module Features = Asap_model.Features
 module Cost_model = Asap_model.Cost_model
-module Regress = Asap_metrics.Regress
 
 (* The calibration suite: the irregular matrices the model must send to
    ASaP and the structured / cache-resident ones it must roll back,
