@@ -185,6 +185,22 @@ let matrix_args =
   in
   Term.(term_result (const (fun m g -> build m g) $ mtx $ gen))
 
+(* Some format/flag combinations are library preconditions (raised as
+   [Invalid_argument]); they are checked before any work, so a bad
+   combination ends as a usage error (exit 124) naming the constraint. *)
+let needs_dense_top ~what enc =
+  match enc.Encoding.levels.(0) with
+  | Encoding.Dense -> Ok ()
+  | Encoding.Compressed _ | Encoding.Singleton ->
+    Error
+      (`Msg
+         (Printf.sprintf
+            "%s needs a format with a dense top level (csr, csc or bsr); \
+             %s has a compressed one"
+            what enc.Encoding.name))
+
+let ( let+ ) r f = Result.map f r
+
 (* --- compile --------------------------------------------------------- *)
 
 let compile_cmd =
@@ -258,6 +274,10 @@ let run_cmd =
   in
   let run coo kernel enc v distance strategy bound threads hw checkit engine
       trace counters pipeline specialize =
+    let+ () =
+      if threads <= 1 then Ok ()
+      else needs_dense_top ~what:(Printf.sprintf "--threads %d" threads) enc
+    in
     let hw = match (hw, kernel) with
       | `D, _ -> Machine.hw_default
       | `O, (`Spmv | `Sddmm) -> Machine.hw_optimized
@@ -304,10 +324,11 @@ let run_cmd =
       Format.printf "%a@?" Exec.Report.pp r.Driver.report
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a kernel on the simulated machine")
-    Term.(const run $ matrix_args $ kernel_arg $ format_arg $ variant_arg
-          $ distance_arg $ strategy_arg $ bound_arg $ threads_arg $ hw_arg
-          $ check_arg $ engine_arg $ trace_arg $ counters_arg $ pipeline_arg
-          $ specialize_arg)
+    Term.(term_result
+            (const run $ matrix_args $ kernel_arg $ format_arg $ variant_arg
+             $ distance_arg $ strategy_arg $ bound_arg $ threads_arg $ hw_arg
+             $ check_arg $ engine_arg $ trace_arg $ counters_arg
+             $ pipeline_arg $ specialize_arg))
 
 (* --- inspect --------------------------------------------------------- *)
 
@@ -347,6 +368,13 @@ let tune_cmd =
                    predicts from.")
   in
   let run coo enc mode features =
+    let+ () =
+      match mode with
+      | `Model -> Ok ()
+      | `Sweep | `Hybrid ->
+        needs_dense_top
+          ~what:("--tune-mode " ^ Asap_core.Tuning.mode_to_string mode) enc
+    in
     let machine = Machine.gracemont_scaled ~hw:Machine.hw_optimized () in
     let d = Asap_model.Select.decide ~mode machine enc coo in
     if features then
@@ -361,7 +389,8 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:"Pick a prefetch configuration: profile a slice (§3.2.3), \
              predict from matrix features, or both")
-    Term.(const run $ matrix_args $ format_arg $ mode_arg $ features_arg)
+    Term.(term_result
+            (const run $ matrix_args $ format_arg $ mode_arg $ features_arg))
 
 (* --- gen ------------------------------------------------------------- *)
 

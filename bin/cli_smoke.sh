@@ -3,7 +3,10 @@
 # - `asapc gen` prints the nnz of the matrix it writes (duplicates
 #   summed), the count in the written file's header;
 # - `asapc run --matrix` turns a malformed or missing file into a usage
-#   error (exit 124) that names the file.
+#   error (exit 124) that names the file;
+# - a format without a dense top level under `asapc tune --tune-mode
+#   sweep|hybrid` or `asapc run --threads N` (N > 1) is a usage error
+#   (exit 124) that names the constraint.
 # Usage: cli_smoke.sh ASAPC
 set -u
 asapc=$1
@@ -25,4 +28,13 @@ for f in "$dir/dup.mtx" "$dir/missing.mtx"; do
   code=$?
   [ "$code" -eq 124 ] || fail "run --matrix $f: exit $code, want 124"
   grep -q "$f" "$dir/err" || fail "run --matrix $f: the error does not name the file"
+done
+
+for args in "tune --tune-mode sweep -f dcsr" "tune --tune-mode sweep -f coo" \
+    "tune --tune-mode hybrid -f dcsr" "run --threads 4 -f dcsr"; do
+  "$asapc" $args -g powerlaw:2000,8 > /dev/null 2> "$dir/err"
+  code=$?
+  [ "$code" -eq 124 ] || fail "$args: exit $code, want 124"
+  grep -q "dense top level" "$dir/err" ||
+    fail "$args: the error does not name the dense-top-level constraint"
 done

@@ -39,16 +39,20 @@ module Cfg = struct
     n : int option;                      (* SpMM dense columns *)
     st : Storage.t option;               (* shared pre-packed storage *)
     obs : Asap_obs.Sink.t;               (* event sink (default: off) *)
-    tune_mode : Tuning.mode;             (* how `Tuned decisions are made *)
     pipeline : string option;            (* pass-pipeline spec override *)
     specialize : bool;                   (* AoT-specialize before running *)
   }
 
+  (* [tune_mode] is ignored: tuning sits above Driver (its profile runs
+     go through {!Prep}), so a run configuration has no tuning mode. The
+     argument stays only for the benchmark's serve build path, which
+     still passes it. *)
   let make ?(engine = Exec.default_engine) ?(threads = 1) ?(binary = false)
-      ?n ?st ?(obs = Asap_obs.Sink.null) ?(tune_mode = Tuning.default_mode)
-      ?pipeline ?(specialize = false) ~machine ~variant () =
-    { machine; variant; engine; threads; binary; n; st; obs; tune_mode;
-      pipeline; specialize }
+      ?n ?st ?(obs = Asap_obs.Sink.null)
+      ?tune_mode:(_ : [ `Sweep | `Model | `Hybrid ] option) ?pipeline
+      ?(specialize = false) ~machine ~variant () =
+    { machine; variant; engine; threads; binary; n; st; obs; pipeline;
+      specialize }
 end
 
 (* The prefetch distance a variant resolves to — a specialization fact
@@ -187,13 +191,16 @@ module Prep = struct
       p_outer_extent = coo.Coo.dims.(0); p_nnz = Coo.nnz coo;
       p_out_f = out_f; p_out_b = out_b; p_written = false }
 
-  (** [exec ?obs p] re-runs the prepared kernel; [obs] overrides the
-      configuration's sink for this run only. The result's [out_f]/[out_b]
-      alias [p]'s output buffers (zeroed before each run — the kernels
-      accumulate into their outputs), so a result is only valid until the
-      next [exec] on the same [p]. *)
-  let exec ?obs (p : t) : result =
+  (** [exec ?obs ?slice p] re-runs the prepared kernel; [obs] overrides
+      the configuration's sink for this run only, and [slice] restricts
+      the outermost loop to a row range (single-threaded preps only).
+      The result's [out_f]/[out_b] alias [p]'s output buffers (zeroed
+      before each run — the kernels accumulate into their outputs), so a
+      result is only valid until the next [exec] on the same [p]. *)
+  let exec ?obs ?slice (p : t) : result =
     let obs = Option.value obs ~default:p.p_obs in
+    if slice <> None && p.p_threads > 1 then
+      invalid_arg "Driver.Prep.exec: a slice needs a single-threaded prep";
     if p.p_written then begin
       Option.iter (fun o -> Array.fill o 0 (Array.length o) 0.) p.p_out_f;
       Option.iter (fun o -> Bytes.fill o 0 (Bytes.length o) '\000') p.p_out_b
@@ -201,7 +208,7 @@ module Prep = struct
     p.p_written <- true;
     let report =
       if p.p_threads <= 1 then
-        Exec.run_prepared ~obs p.p_prepared ~scalars:p.p_scalars
+        Exec.run_prepared ~obs ?slice p.p_prepared ~scalars:p.p_scalars
       else
         Exec.run_parallel ~obs p.p_prepared ~threads:p.p_threads
           ~outer_extent:p.p_outer_extent ~scalars:p.p_scalars
@@ -213,54 +220,6 @@ end
     [spec] on [coo] under configuration [cfg]. *)
 let run (cfg : Cfg.t) (spec : kernel_spec) (coo : Coo.t) : result =
   Prep.exec (Prep.make cfg spec coo)
-
-module Merge = Asap_sparsifier.Merge
-
-(* The merge runner shared by {!vector_ewise} and {!matrix_ewise}: pack
-   both operands under [enc], bind [m]'s parameters to them and to a
-   dense output spanning [extents], and run once. *)
-let run_merge ~engine machine (m : Merge.compiled) enc ~extents (b : Coo.t)
-    (c : Coo.t) : result =
-  let stb = Storage.pack enc b and stc = Storage.pack enc c in
-  let out = Array.make (Array.fold_left ( * ) 1 extents) 0. in
-  let bufs =
-    List.map
-      (fun (buffer, binding) ->
-        let st = function `B -> stb | `C -> stc in
-        let data =
-          match binding with
-          | Merge.Mpos (side, l) ->
-            Runtime.RI (Option.get (Storage.pos_buf (st side) l))
-          | Merge.Mcrd (side, l) ->
-            Runtime.RI (Option.get (Storage.crd_buf (st side) l))
-          | Merge.Mvals side -> Runtime.RF (st side).Storage.vals
-          | Merge.Mout -> Runtime.RF out
-        in
-        (buffer, data))
-      m.Merge.m_buffers
-  in
-  let scalars = List.map (fun (_, d) -> extents.(d)) m.Merge.m_scalars in
-  let report = Exec.run ~engine machine m.Merge.m_fn ~bufs ~scalars in
-  mk_result report (Coo.nnz b + Coo.nnz c) (Some out) None
-
-(** [vector_ewise machine op b c] merges two sparse vectors element-wise
-    (union add or intersection multiply) into a dense output — the
-    merge-based co-iteration strategy of §3.1. *)
-let vector_ewise ?(engine = Exec.default_engine) (machine : Machine.t)
-    (op : Merge.op) (b : Coo.t) (c : Coo.t) : result =
-  if Coo.rank b <> 1 || Coo.rank c <> 1 || b.Coo.dims.(0) <> c.Coo.dims.(0)
-  then invalid_arg "Driver.vector_ewise: need equal-length sparse vectors";
-  run_merge ~engine machine (Merge.vector_ewise op) (Encoding.sparse_vector ())
-    ~extents:b.Coo.dims b c
-
-(** [matrix_ewise machine op b c] merges two CSR matrices row by row into
-    a dense row-major output. *)
-let matrix_ewise ?(engine = Exec.default_engine) (machine : Machine.t)
-    (op : Merge.op) (b : Coo.t) (c : Coo.t) : result =
-  if Coo.rank b <> 2 || b.Coo.dims <> c.Coo.dims then
-    invalid_arg "Driver.matrix_ewise: need same-shape matrices";
-  run_merge ~engine machine (Merge.matrix_ewise op) (Encoding.csr ())
-    ~extents:b.Coo.dims b c
 
 (* Max absolute elementwise error of a numeric output against its
    reference. *)

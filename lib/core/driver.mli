@@ -37,9 +37,6 @@ module Cfg : sig
     n : int option;                      (** SpMM dense columns *)
     st : Asap_tensor.Storage.t option;   (** shared pre-packed storage *)
     obs : Asap_obs.Sink.t;               (** event sink (default: off) *)
-    tune_mode : Tuning.mode;
-      (** how [`Tuned] variant decisions are made by layers that tune
-          (the serve build path); {!run} itself never tunes *)
     pipeline : string option;
       (** pass-pipeline spec overriding [variant]'s default
           (see {!Pipeline.compile}) *)
@@ -53,12 +50,16 @@ module Cfg : sig
 
   (** [make ~machine ~variant ()] with defaults: [Exec.default_engine],
       one thread, numeric kernels, kernel-specific [n], fresh packing, no
-      observability, [`Sweep] tuning, no pipeline override, no
-      specialization. *)
+      observability, no pipeline override, no specialization.
+      [tune_mode] is accepted and ignored: tuning sits above Driver and
+      a run configuration carries no tuning mode; the argument remains
+      only until its last caller (the benchmark's serve build path)
+      stops passing it. *)
   val make :
     ?engine:Exec.engine -> ?threads:int -> ?binary:bool -> ?n:int ->
     ?st:Asap_tensor.Storage.t -> ?obs:Asap_obs.Sink.t ->
-    ?tune_mode:Tuning.mode -> ?pipeline:string -> ?specialize:bool ->
+    ?tune_mode:[ `Sweep | `Model | `Hybrid ] -> ?pipeline:string ->
+    ?specialize:bool ->
     machine:Machine.t -> variant:Pipeline.variant -> unit -> t
 end
 
@@ -102,26 +103,17 @@ module Prep : sig
       single-threaded). *)
   val make : Cfg.t -> kernel_spec -> Coo.t -> t
 
-  (** [exec ?obs p] re-runs the prepared kernel; [obs] overrides the
-      configuration's sink for this run only. The result's
-      [out_f]/[out_b] alias [p]'s output buffers (zeroed before each
-      run), so a result is only valid until the next [exec] on the same
-      [p]. *)
-  val exec : ?obs:Asap_obs.Sink.t -> t -> result
+  (** [exec ?obs ?slice p] re-runs the prepared kernel; [obs] overrides
+      the configuration's sink for this run only. [slice = (lo, hi)]
+      restricts the outermost loop to iterations [lo, hi) (profile-guided
+      tuning runs a leading slice of rows); [slice = (0, extent)] equals
+      an unsliced run. The result's [out_f]/[out_b] alias [p]'s output
+      buffers (zeroed before each run), so a result is only valid until
+      the next [exec] on the same [p].
+      @raise Invalid_argument when [slice] is given and [p] runs on more
+      than one thread (the threads already split the outer loop). *)
+  val exec : ?obs:Asap_obs.Sink.t -> ?slice:int * int -> t -> result
 end
-
-module Merge = Asap_sparsifier.Merge
-
-(** [vector_ewise machine op b c] merges two sparse vectors element-wise
-    (union add or intersection multiply) into a dense output — the
-    merge-based co-iteration strategy of §3.1. *)
-val vector_ewise :
-  ?engine:Exec.engine -> Machine.t -> Merge.op -> Coo.t -> Coo.t -> result
-
-(** [matrix_ewise machine op b c] merges two same-shape CSR matrices row
-    by row into a dense row-major output. *)
-val matrix_ewise :
-  ?engine:Exec.engine -> Machine.t -> Merge.op -> Coo.t -> Coo.t -> result
 
 (** [check_ttv coo r] is the max absolute error of a TTV run. *)
 val check_ttv : Coo.t -> result -> float

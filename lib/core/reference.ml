@@ -84,16 +84,6 @@ let spmv_binary (coo : Coo.t) (c : int array) : int array =
     coo.Coo.vals;
   a
 
-(** Element-wise reference over dense expansions: union add. *)
-let ewise_add (b : Coo.t) (c : Coo.t) : float array =
-  let db = Coo.to_dense b and dc = Coo.to_dense c in
-  Array.mapi (fun i x -> x +. dc.(i)) db
-
-(** Element-wise reference: intersection multiply. *)
-let ewise_mul (b : Coo.t) (c : Coo.t) : float array =
-  let db = Coo.to_dense b and dc = Coo.to_dense c in
-  Array.mapi (fun i x -> x *. dc.(i)) db
-
 (** Boolean SpMM. *)
 let spmm_binary (coo : Coo.t) (cm : int array) ~n : int array =
   let a = Array.make (coo.Coo.dims.(0) * n) 0 in

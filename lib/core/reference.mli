@@ -24,10 +24,5 @@ val ttv : Coo.t -> float array -> float array
 (** Boolean SpMV for binary matrices: a_i |= B_ij & c_j (paper §4.2). *)
 val spmv_binary : Coo.t -> int array -> int array
 
-(** Element-wise references over dense expansions (for the merge-based
-    co-iteration kernels): union add and intersection multiply. *)
-val ewise_add : Coo.t -> Coo.t -> float array
-val ewise_mul : Coo.t -> Coo.t -> float array
-
 (** Boolean SpMM. *)
 val spmm_binary : Coo.t -> int array -> n:int -> int array

@@ -14,13 +14,13 @@
    The sweep is one of three tuning modes (the others live in lib/model,
    which predicts the decision from cheap matrix features instead of
    simulating candidates); the [mode] type is defined here so every layer
-   — Driver.Cfg, serve requests, the CLI — names modes the same way. *)
+   — serve requests, the CLI, the check harness — names modes the same
+   way. Tuning sits above Driver: every profile run is a Driver.Prep
+   execution, so it shares the one execution path. *)
 
 module Coo = Asap_tensor.Coo
 module Storage = Asap_tensor.Storage
 module Encoding = Asap_tensor.Encoding
-module Kernel = Asap_lang.Kernel
-module Runtime = Asap_sim.Runtime
 module Machine = Asap_sim.Machine
 module Exec = Asap_sim.Exec
 module Asap = Asap_prefetch.Asap
@@ -66,21 +66,6 @@ let profile_fraction = 0.05
 (* Baseline slices below this L2 MPKI roll prefetching back. *)
 let rollback_mpki = 2.0
 
-(* One sliced profiling run of SpMV under [variant]. The packed storage
-   and the kernel are variant-independent, so the caller builds them once
-   and every candidate run shares them. *)
-let profile_run ?engine machine ~kernel ~st ~rows ~cols ~slice variant =
-  let compiled = Pipeline.compile kernel variant in
-  let out = Array.make rows 0. in
-  let dense =
-    [ ("c", Runtime.RF (Array.make cols 1.0)); ("a", Runtime.RF out) ]
-  in
-  let bufs = Bindings.storage_bufs compiled.Pipeline.cc st ~binary:false ~dense in
-  let scalars =
-    Bindings.scalar_args compiled.Pipeline.cc ~extents:[| rows; cols |]
-  in
-  Exec.run ?engine ~slice machine compiled.Pipeline.fn ~bufs ~scalars
-
 (** [profile_cycles d] is the summed simulated cycles of the decision's
     profile runs — the virtual cost the serve scheduler charges a cache
     miss for sweep-mode tuning. *)
@@ -113,15 +98,16 @@ let tune ?engine ?(jobs = 1) ?(candidates = default_candidates) ?st
      invalid_arg "Tuning.tune: profiling slices need a dense outer loop");
   if candidates = [] then
     invalid_arg "Tuning.tune: empty candidate list (nothing to sweep)";
-  let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) in
+  let rows = coo.Coo.dims.(0) in
   let prof_rows = max 1 (int_of_float (float_of_int rows *. profile_fraction)) in
   let slice = (0, prof_rows) in
-  (* Variant-independent state, shared by the baseline and every
-     candidate run: one packing, one kernel. *)
+  (* One packing, shared by the baseline and every candidate run; each
+     run is one sliced SpMV execution through Driver.Prep. *)
   let st = match st with Some st -> st | None -> Storage.pack enc coo in
-  let kernel = Kernel.spmv ~enc () in
   let run variant =
-    profile_run ?engine machine ~kernel ~st ~rows ~cols ~slice variant
+    let cfg = Driver.Cfg.make ?engine ~st ~machine ~variant () in
+    (Driver.Prep.exec ~slice (Driver.Prep.make cfg (Driver.Spmv enc) coo))
+      .Driver.report
   in
   let base = run Pipeline.Baseline in
   let base_entry =

@@ -16,8 +16,8 @@ module Machine = Asap_sim.Machine
     configuration from one-pass matrix features
     ({!Asap_model.Cost_model}), skipping the sweep entirely; [`Hybrid]
     serves the sweep's decision while also running the model and
-    recording agreement. Defined here so Driver.Cfg, serve requests and
-    the CLI all name modes identically. *)
+    recording agreement. Defined here so serve requests, the CLI and
+    the check harness all name modes identically. *)
 type mode = [ `Sweep | `Model | `Hybrid ]
 
 val default_mode : mode

@@ -109,9 +109,8 @@ let build ?st:(prepack : Storage.t option) (req : Request.t) (coo : Coo.t) :
     | Some d -> Machine.cycles_to_ms machine d.Select.d_tune_cycles
   in
   let cfg =
-    Driver.Cfg.make ~engine:req.Request.engine
-      ~tune_mode:req.Request.tune_mode ?pipeline:req.Request.pipeline ?st
-      ~specialize:req.Request.specialize ~machine ~variant ()
+    Driver.Cfg.make ~engine:req.Request.engine ?pipeline:req.Request.pipeline
+      ?st ~specialize:req.Request.specialize ~machine ~variant ()
   in
   let t0 = if req.Request.specialize then Some (Unix.gettimeofday ()) else None in
   let prep = Driver.Prep.make cfg (Request.spec req) coo in

@@ -131,8 +131,8 @@ type prepared = {
 
 (** [prepare ?engine ?spec machine fn ~bufs] lays out [bufs] in the
     simulated address space and, for the bytecode engine, compiles the
-    flat program — the run-independent half of {!run}, done once and
-    reused by every {!run_prepared} and {!run_parallel}. When [spec] is
+    flat program — the run-independent half of an execution, done once
+    and reused by every {!run_prepared} and {!run_parallel}. When [spec] is
     given, the function is first rewritten by {!Specialize.apply}
     against those facts. *)
 let prepare ?(engine = default_engine) ?(spec : Specialize.facts option)
@@ -165,8 +165,8 @@ let run_core ?slice (p : prepared) ~scalars ~mem : Interp.result =
     Bytecode.run ?slice ~width ~rob_size ~branch_miss bp ~scalars ~mem
 
 (** [run_prepared ?obs ?slice p ~scalars] executes [p] on one core of a
-    fresh memory hierarchy. Equal in every report field to the {!run}
-    that [p] was prepared from. *)
+    fresh memory hierarchy; [slice] restricts the outermost loop's
+    range (used by profiling). *)
 let run_prepared ?obs ?slice (p : prepared) ~(scalars : int list) : report =
   let hier = Hierarchy.create ?obs p.pr_machine in
   let mem =
@@ -182,13 +182,6 @@ let run_prepared ?obs ?slice (p : prepared) ~(scalars : int list) : report =
   in
   Hierarchy.release hier;
   report
-
-(** [run ?slice machine fn ~bufs ~scalars] executes [fn] on one core;
-    [slice] restricts the outermost loop's range (used by profiling). *)
-let run ?(engine = default_engine) ?obs ?slice (machine : Machine.t)
-    (fn : Ir.func) ~(bufs : (Ir.buffer * Runtime.rbuf) list)
-    ~(scalars : int list) : report =
-  run_prepared ?obs ?slice (prepare ~engine machine fn ~bufs) ~scalars
 
 (** [run_parallel ?obs p ~threads ~outer_extent ~scalars] executes [p]
     with the dense-outer-loop parallelisation strategy: the outermost

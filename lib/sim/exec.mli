@@ -58,7 +58,7 @@ val engine_to_string : engine -> string
 type prepared
 
 (** [prepare ?engine ?spec machine fn ~bufs] is the run-independent half
-    of {!run}: layout plus (bytecode) program compilation.
+    of an execution: layout plus (bytecode) program compilation.
     With [spec], the function is first rewritten by {!Specialize.apply}
     against those facts (works under any engine so the differential
     suite can cross-check the specialized IR). *)
@@ -67,20 +67,13 @@ val prepare :
   bufs:(Ir.buffer * Runtime.rbuf) list -> prepared
 
 (** [run_prepared ?obs ?slice p ~scalars] executes [p] on one core of a
-    fresh memory hierarchy; equal in every report field to the {!run} it
-    was prepared from. *)
+    fresh memory hierarchy; [obs] receives the hierarchy's event stream
+    (default: disabled, zero cost); [slice] restricts the outermost
+    loop's iteration range (profile-guided tuning runs a leading slice
+    of rows). Repeat runs of one [p] report identically. *)
 val run_prepared :
   ?obs:Asap_obs.Sink.t -> ?slice:int * int -> prepared ->
   scalars:int list -> report
-
-(** [run ?engine ?obs ?slice machine fn ~bufs ~scalars] executes [fn] on
-    one core of a fresh memory hierarchy; [obs] receives the hierarchy's
-    event stream (default: disabled, zero cost); [slice] restricts the
-    outermost loop's iteration range (used by profile-guided tuning).
-    Equivalent to [prepare] + [run_prepared]. *)
-val run :
-  ?engine:engine -> ?obs:Asap_obs.Sink.t -> ?slice:int * int -> Machine.t ->
-  Ir.func -> bufs:(Ir.buffer * Runtime.rbuf) list -> scalars:int list -> report
 
 (** [run_parallel ?obs p ~threads ~outer_extent ~scalars] executes [p]
     with the dense-outer-loop strategy: the outermost loop range

@@ -87,10 +87,6 @@ let dcsr ?width () =
     [| Compressed { unique = true }; Compressed { unique = true } |]
     [| 0; 1 |]
 
-(** Rank-1 compressed sparse vector. *)
-let sparse_vector ?width () =
-  make ?width "SpVec" [| Compressed { unique = true } |] [| 0 |]
-
 (** Block Sparse Row: the matrix is tiled into [bh]x[bw] blocks; storage
     levels index the *block* coordinate space (dense block rows over
     compressed block columns), and each stored block carries bh*bw values

@@ -56,9 +56,6 @@ val csc : ?width:index_width -> unit -> t
 (** Doubly compressed sparse row: compressed over compressed. *)
 val dcsr : ?width:index_width -> unit -> t
 
-(** Rank-1 compressed sparse vector. *)
-val sparse_vector : ?width:index_width -> unit -> t
-
 (** [bsr ~bh ~bw ()] is Block Sparse Row with [bh]x[bw] blocks: dense
     block rows over compressed block columns, each stored block holding
     [bh*bw] row-major values (explicit zeros inside a block; edge blocks

@@ -245,6 +245,53 @@ let test_tuning_candidate_order_invariant () =
   check "duplicates don't flip the pick" true
     (d1.Asap_core.Tuning.chosen = d3.Asap_core.Tuning.chosen)
 
+(* The sweep's profile, pinned entry by entry: label, simulated cycles
+   and L2 MPKI bit for bit, on both engines. Three outcomes: ASaP pays
+   (powerlaw, d16 wins), no candidate beats the baseline (banded:300),
+   and the baseline slice is below [rollback_mpki] (banded:2000, one
+   entry). Any change to how profile runs are built or executed that
+   moves a counter fails here, not just in the summed golden replay. *)
+let test_tuning_profile_pinned () =
+  let cases =
+    [ ("powerlaw:400,5",
+       Pipeline.Asap { Asap.default with Asap.distance = 16 },
+       [ ("baseline", 1819, 0x1.a2fc3aa86e9cbp+5);
+         ("asap-d4", 1840, 0x1.1b2f9341b2f93p+3);
+         ("asap-d16", 1430, 0x1.b882e510dd83ap+3);
+         ("asap-d64", 1882, 0x1.89504c85ea5a2p+4) ]);
+      ("banded:300,4", Pipeline.Baseline,
+       [ ("baseline", 1180, 0x1.8709e8042bcbep+2);
+         ("asap-d4", 1385, 0x1.70a9e153c2a78p+1);
+         ("asap-d16", 1361, 0x1.70a9e153c2a78p+1);
+         ("asap-d64", 1366, 0x1.0210842108421p+2) ]);
+      ("banded:2000,2", Pipeline.Baseline,
+       [ ("baseline", 3455, 0x1.e9d5c071a4474p+0) ]) ]
+  in
+  List.iter
+    (fun (spec, chosen, expect) ->
+      let coo = Result.get_ok (Generate.of_spec spec) in
+      List.iter
+        (fun engine ->
+          let d =
+            Asap_core.Tuning.tune ~engine ~candidates:[ 4; 16; 64 ] machine
+              (Encoding.csr ()) coo
+          in
+          let label = spec ^ "/" ^ Exec.engine_to_string engine in
+          let got =
+            List.map
+              (fun e ->
+                ( e.Asap_core.Tuning.pe_label, e.Asap_core.Tuning.pe_cycles,
+                  Int64.bits_of_float e.Asap_core.Tuning.pe_mpki ))
+              d.Asap_core.Tuning.profile
+          in
+          let expect =
+            List.map (fun (l, c, m) -> (l, c, Int64.bits_of_float m)) expect
+          in
+          check (label ^ ": profile entries") true (got = expect);
+          check (label ^ ": choice") true (d.Asap_core.Tuning.chosen = chosen))
+        [ `Interp; `Bytecode ])
+    cases
+
 (* Rank-3 CSF tensor-times-vector: the §3.2.2 bound recursion at depth 3,
    all variants, checked against the reference. *)
 let test_ttv_all_variants () =
@@ -291,7 +338,9 @@ let test_passes_preserve_spmv () =
       Asap_core.Bindings.scalar_args c.Pipeline.cc
         ~extents:[| coo.Coo.dims.(0); coo.Coo.dims.(1) |]
     in
-    let (_ : Asap_sim.Exec.report) = Asap_sim.Exec.run machine fn ~bufs ~scalars in
+    let (_ : Exec.report) =
+      Exec.run_prepared (Exec.prepare machine fn ~bufs) ~scalars
+    in
     out
   in
   let a = run c.Pipeline.fn and b = run fn2 in
@@ -528,6 +577,8 @@ let suite =
       test_tuning_needs_dense_outer;
     Alcotest.test_case "tuning rejects empty candidates" `Quick
       test_tuning_rejects_empty_candidates;
+    Alcotest.test_case "tuning profile pinned" `Quick
+      test_tuning_profile_pinned;
     Alcotest.test_case "tuning candidate-order invariant" `Slow
       test_tuning_candidate_order_invariant;
     Alcotest.test_case "ttv all variants" `Quick test_ttv_all_variants;

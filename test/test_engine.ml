@@ -138,12 +138,59 @@ let test_multicore_deterministic () =
   in
   same_result "multicore repeat" (run ()) (run ())
 
+(* --- Sliced runs -------------------------------------------------------- *)
+
+(* [Prep.exec ~slice] is how tuning profiles a leading slice of rows: both
+   engines must agree on a sliced run, a slice that spans the whole outer
+   loop must equal an unsliced run, and a slice must actually cut the
+   work. A multi-threaded prep already splits the outer loop, so it
+   rejects a slice. *)
+let test_sliced_prep () =
+  let coo = small_matrix 27 in
+  let rows = coo.Coo.dims.(0) in
+  List.iter
+    (fun (en, enc) ->
+      List.iter
+        (fun (vn, v) ->
+          let prep engine =
+            Driver.Prep.make (cfg engine v) (Driver.Spmv enc) coo
+          in
+          let name = Printf.sprintf "sliced spmv %s/%s" en vn in
+          List.iter
+            (fun slice ->
+              two_way
+                (Printf.sprintf "%s (%d,%d)" name (fst slice) (snd slice))
+                (fun engine -> Driver.Prep.exec ~slice (prep engine)))
+            [ (0, 15); (40, 90) ];
+          List.iter
+            (fun engine ->
+              let p = prep engine in
+              let full = Driver.Prep.exec p in
+              let whole = Driver.Prep.exec ~slice:(0, rows) p in
+              same_result (name ^ " (0,rows) = unsliced") full whole;
+              let part = Driver.Prep.exec ~slice:(0, 15) p in
+              check (name ^ ": a slice runs fewer cycles") true
+                (part.Driver.report.Exec.rp_cycles
+                 < full.Driver.report.Exec.rp_cycles))
+            [ `Interp; `Bytecode ])
+        variants)
+    [ ("csr", Encoding.csr ()); ("bsr2x2", Encoding.bsr ~bh:2 ~bw:2 ()) ];
+  let machine4 = Machine.gracemont_scaled ~cores:4 () in
+  let p =
+    Driver.Prep.make
+      (cfg ~threads:4 ~machine:machine4 Exec.default_engine Pipeline.Baseline)
+      (Driver.Spmv (Encoding.csr ())) coo
+  in
+  match Driver.Prep.exec ~slice:(0, 15) p with
+  | (_ : Driver.result) -> Alcotest.fail "a 4-thread prep accepted a slice"
+  | exception Invalid_argument _ -> ()
+
 (* --- Traps and faults ------------------------------------------------- *)
 
 (* Every engine must fail the same way on the same bad program: same
    exception, same message, raised from the same simulated point. *)
 let outcome_of engine fn ~bufs ~scalars =
-  match Exec.run ~engine machine fn ~bufs ~scalars with
+  match Exec.run_prepared (Exec.prepare ~engine machine fn ~bufs) ~scalars with
   | (_ : Exec.report) -> "ok"
   | exception Interp.Trap m -> "trap: " ^ m
   | exception Runtime.Fault m -> "fault: " ^ m
@@ -262,7 +309,9 @@ let test_carried_values () =
       [ (src_buf, Runtime.RF (Array.copy src_data));
         (out_buf, Runtime.RF out) ]
     in
-    let r = Exec.run ~engine machine fn ~bufs ~scalars:[ 4 ] in
+    let r =
+      Exec.run_prepared (Exec.prepare ~engine machine fn ~bufs) ~scalars:[ 4 ]
+    in
     (r, out)
   in
   let r_i, out_i = run `Interp in
@@ -460,6 +509,7 @@ let suite =
       test_differential_multicore;
     Alcotest.test_case "multicore deterministic" `Quick
       test_multicore_deterministic;
+    Alcotest.test_case "sliced prep" `Quick test_sliced_prep;
     Alcotest.test_case "trap and fault parity" `Quick test_trap_fault_parity;
     Alcotest.test_case "carried values" `Quick test_carried_values;
     Alcotest.test_case "variable-latency differential" `Quick

@@ -8,7 +8,6 @@ let () =
       ("lang", Test_lang.suite);
       ("sparsifier", Test_sparsifier.suite);
       ("prefetch", Test_prefetch.suite);
-      ("merge", Test_merge.suite);
       ("trace", Test_trace.suite);
       ("sim", Test_sim.suite);
       ("interp-props", Test_interp_props.suite);

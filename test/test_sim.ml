@@ -380,11 +380,11 @@ let test_multicore_matches_single () =
         (a, Runtime.RF a_a) ]
     in
     let m = Machine.gracemont ~hw:quiet_hw ~cores:4 () in
+    let p = Exec.prepare m fn ~bufs in
     let r =
-      if threads = 1 then Exec.run m fn ~bufs ~scalars:[ rows ]
+      if threads = 1 then Exec.run_prepared p ~scalars:[ rows ]
       else
-        Exec.run_parallel (Exec.prepare m fn ~bufs) ~threads
-          ~outer_extent:rows ~scalars:[ rows ]
+        Exec.run_parallel p ~threads ~outer_extent:rows ~scalars:[ rows ]
     in
     (Array.copy a_a, r)
   in
@@ -428,7 +428,7 @@ let test_exec_metrics () =
       (a, Runtime.RF (Array.make rows 0.)) ]
   in
   let m = Machine.gracemont ~hw:quiet_hw () in
-  let r = Exec.run m fn ~bufs ~scalars:[ rows ] in
+  let r = Exec.run_prepared (Exec.prepare m fn ~bufs) ~scalars:[ rows ] in
   check "mpki finite" true (Exec.l2_mpki r >= 0.);
   check "throughput positive" true (Exec.throughput_nnz_per_ms r ~nnz > 0.);
   check "ai positive" true (Exec.arithmetic_intensity r > 0.);
