@@ -3,10 +3,13 @@
 
    Each suite is a function returning rows, one per figure:
 
-     {suite, scenario, metric, unit, clock: "virtual"|"host", value, gate?}
+     {suite, scenario, metric, unit, clock: "virtual"|"host"|"alloc",
+      value, gate?}
 
    Virtual rows (simulated cycles, counts, replay properties) are
-   deterministic, so their gates are exact. Host rows are monotonic-clock
+   deterministic, so their gates are exact. Alloc rows count the words a
+   call allocates on one domain (Gc.counters after Gc.compact): a pure
+   function of code and input, so they are exact too. Host rows are monotonic-clock
    wall times and rates: noisy, so they are either ungated, gated on a
    loose ratio, or marked [regress] — compared with the row of the same
    (suite, scenario, metric) in a baseline file (the committed
@@ -44,7 +47,7 @@ module Jsonu = Asap_obs.Jsonu
 
 (* --- Rows and gates ------------------------------------------------- *)
 
-type clock = Virtual | Host
+type clock = Virtual | Host | Alloc
 type op = Ge | Gt | Le | Eq
 
 (* [value op bound]; with [regress], [bound] is a tolerance factor on the
@@ -82,7 +85,11 @@ let to_json r =
     ([ ("suite", Jsonu.Str r.suite); ("scenario", Jsonu.Str r.scenario);
        ("metric", Jsonu.Str r.metric); ("unit", Jsonu.Str r.unit);
        ("clock",
-        Jsonu.Str (match r.clock with Virtual -> "virtual" | Host -> "host"));
+        Jsonu.Str
+          (match r.clock with
+           | Virtual -> "virtual"
+           | Host -> "host"
+           | Alloc -> "alloc"));
        ("value", Jsonu.Float r.value) ]
      @ gate)
 
@@ -166,6 +173,7 @@ let min_model_within = 0.9     (* share of model picks within tolerance *)
 let model_cycle_tolerance = 1.05
 let max_err = 1e-9
 let max_regress = 1.10
+let max_prep_make_words = 1e6  (* O(nnz), not a dense output *)
 
 let gate ?(regress = false) op bound = Some { op; bound; regress }
 let ge = gate Ge
@@ -322,10 +330,26 @@ let engine () =
       row scenario "ns_per_access" "ns" Host
         (wall *. 1e9 /. count (Stream.length s)) ]
   in
+  let sddmm_coo = matrix "powerlaw:3000,6" in
   let replays =
     hier_replay "spmv_powerlaw_60000" machine asap (Driver.Spmv enc) coo
     @ hier_replay "sddmm_csr_powerlaw_3000" machine asap
-        (Driver.Sddmm enc) (matrix "powerlaw:3000,6")
+        (Driver.Sddmm enc) sddmm_coo
+  in
+  (* Words one SDDMM Prep.make allocates: its output follows S's
+     pattern, so nothing is of dense d0 x d1 size. *)
+  let prep_make_words =
+    let words () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let cfg = Driver.Cfg.make ~machine ~variant:asap () in
+    Gc.compact ();
+    let w0 = words () in
+    let p = Driver.Prep.make cfg (Driver.Sddmm enc) sddmm_coo in
+    let w = words () -. w0 in
+    ignore (Sys.opaque_identity p);
+    w
   in
   (* The engine on its own: the same SpMV under ASaP against the
      one-cycle port, with no hierarchy behind it (median of 9 runs of
@@ -369,7 +393,9 @@ let engine () =
         ?gate:(gate ~regress:true Le max_regress) ]
   @ replays
   @ [ row "free_port_spmv_powerlaw_60000" "minstr_per_s" "Minstr/s" Host
-        free_port_minstr_per_s ]
+        free_port_minstr_per_s;
+      row "prep_make_sddmm_powerlaw_3000" "words" "words" Alloc
+        prep_make_words ?gate:(le max_prep_make_words) ]
 
 (* --- serve: hot/cold replay, cache on vs off ------------------------- *)
 

@@ -199,6 +199,18 @@ let needs_dense_top ~what enc =
              %s has a compressed one"
             what enc.Encoding.name))
 
+(* Every --format names a matrix encoding, and Storage.pack needs the
+   tensor's rank to match it. *)
+let needs_rank enc coo =
+  if Encoding.rank enc = Coo.rank coo then Ok ()
+  else
+    Error
+      (`Msg
+         (Printf.sprintf
+            "format %s is for rank-%d tensors, but the input has rank %d"
+            enc.Encoding.name (Encoding.rank enc) (Coo.rank coo)))
+
+let ( let* ) = Result.bind
 let ( let+ ) r f = Result.map f r
 
 (* --- compile --------------------------------------------------------- *)
@@ -274,6 +286,7 @@ let run_cmd =
   in
   let run coo kernel enc v distance strategy bound threads hw checkit engine
       trace counters pipeline specialize =
+    let* () = needs_rank enc coo in
     let+ () =
       if threads <= 1 then Ok ()
       else needs_dense_top ~what:(Printf.sprintf "--threads %d" threads) enc
@@ -338,6 +351,7 @@ let inspect_cmd =
            ~doc:"Draw the coordinate hierarchy tree (small matrices only).")
   in
   let run coo enc tree =
+    let+ () = needs_rank enc coo in
     let st = Storage.pack enc coo in
     print_endline (Encoding.to_string enc);
     print_endline (Storage.describe st);
@@ -352,7 +366,7 @@ let inspect_cmd =
       else print_string (Coord_tree.to_string (Coord_tree.of_storage st))
   in
   Cmd.v (Cmd.info "inspect" ~doc:"Show storage buffers and statistics")
-    Term.(const run $ matrix_args $ format_arg $ tree_arg)
+    Term.(term_result (const run $ matrix_args $ format_arg $ tree_arg))
 
 (* --- tune ------------------------------------------------------------ *)
 
@@ -368,6 +382,7 @@ let tune_cmd =
                    predicts from.")
   in
   let run coo enc mode features =
+    let* () = needs_rank enc coo in
     let+ () =
       match mode with
       | `Model -> Ok ()
@@ -400,6 +415,15 @@ let gen_cmd =
          & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output .mtx path.")
   in
   let run coo out =
+    let+ () =
+      if Coo.rank coo = 2 then Ok ()
+      else
+        Error
+          (`Msg
+             (Printf.sprintf
+                "Matrix Market holds rank-2 tensors, but the input has rank %d"
+                (Coo.rank coo)))
+    in
     (* The file holds the matrix with duplicates summed; report that. *)
     let coo = Coo.sorted_dedup coo in
     Matrix_market.write out coo;
@@ -407,7 +431,7 @@ let gen_cmd =
       coo.Coo.dims.(1) (Coo.nnz coo)
   in
   Cmd.v (Cmd.info "gen" ~doc:"Write a synthetic matrix to Matrix Market")
-    Term.(const run $ matrix_args $ out_arg)
+    Term.(term_result (const run $ matrix_args $ out_arg))
 
 (* --- passes ---------------------------------------------------------- *)
 

@@ -6,7 +6,13 @@
 #   error (exit 124) that names the file;
 # - a format without a dense top level under `asapc tune --tune-mode
 #   sweep|hybrid` or `asapc run --threads N` (N > 1) is a usage error
-#   (exit 124) that names the constraint.
+#   (exit 124) that names the constraint;
+# - a rank-3 tensor under `asapc run|tune|inspect` (matrix formats) or
+#   `asapc gen` (Matrix Market) is a usage error (exit 124) that names
+#   the rank mismatch;
+# - `asapc run -k sddmm --check` on a 60000-row matrix passes: SDDMM's
+#   output follows the sampling pattern, where a dense one would need
+#   28.8 GB.
 # Usage: cli_smoke.sh ASAPC
 set -u
 asapc=$1
@@ -38,3 +44,16 @@ for args in "tune --tune-mode sweep -f dcsr" "tune --tune-mode sweep -f coo" \
   grep -q "dense top level" "$dir/err" ||
     fail "$args: the error does not name the dense-top-level constraint"
 done
+
+for args in "run" "tune" "inspect" "gen -o $dir/t3.mtx"; do
+  "$asapc" $args -g tensor3:20,20,20,200 > /dev/null 2> "$dir/err"
+  code=$?
+  [ "$code" -eq 124 ] || fail "$args on a rank-3 tensor: exit $code, want 124"
+  grep -q "rank 3" "$dir/err" ||
+    fail "$args on a rank-3 tensor: the error does not name the rank"
+done
+
+"$asapc" run -k sddmm -g powerlaw:60000,1 --check > "$dir/out" 2> "$dir/err" ||
+  fail "run -k sddmm -g powerlaw:60000,1 --check: exit $?"
+grep -q "^check: max |err|" "$dir/out" ||
+  fail "run -k sddmm -g powerlaw:60000,1 --check: no check line"

@@ -13,7 +13,12 @@ type result = {
     (** the report's counter registry, sorted by name
         ({!Exec.Report.to_assoc}) *)
   nnz : int;
-  out_f : float array option;  (** output of numeric kernels *)
+  out_f : float array option;
+    (** output of numeric kernels: the dense row-major output, except
+        for SDDMM, whose output has S's sampling pattern — one value per
+        distinct coordinate of S, in row-major order
+        ({!Asap_tensor.Coo.positions}), the same form
+        {!Reference.sddmm} returns *)
   out_b : Bytes.t option;      (** output of binary kernels *)
 }
 
@@ -97,7 +102,10 @@ val run : Cfg.t -> kernel_spec -> Coo.t -> result
 module Prep : sig
   type t
 
-  (** [make cfg spec coo] prepares the execution.
+  (** [make cfg spec coo] prepares the execution. SDDMM's output is
+      bound as a pattern buffer ({!Asap_sim.Runtime.pattern}) over S's
+      coordinates: its simulated layout is the dense d0 x d1 array, its
+      host storage O(nnz).
       @raise Invalid_argument when [cfg.threads > 1] and the kernel's
       encoding has no dense top level (TTV always runs
       single-threaded). *)
@@ -126,5 +134,8 @@ val check_spmv : Coo.t -> result -> float
 val check_spmm : Coo.t -> n:int -> result -> float
 
 (** [check_sddmm coo ~kk r] is the max absolute error of an SDDMM run
-    (contraction depth [kk]). *)
+    (contraction depth [kk]). [r.out_f] may hold the sampled values
+    {!Prep} returns or a dense rows x cols array; in the dense form every
+    element outside S's pattern counts as error against zero.
+    @raise Invalid_argument when [r.out_f] has neither length. *)
 val check_sddmm : Coo.t -> kk:int -> result -> float

@@ -31,10 +31,17 @@ let spmm (coo : Coo.t) (cm : float array) ~n : float array =
     coo.Coo.vals;
   a
 
+(* Index of [x] in the sorted array [pos]; [x] is known to be there. *)
+let rec find pos x lo hi =
+  let mid = (lo + hi) / 2 in
+  if pos.(mid) = x then mid
+  else if pos.(mid) < x then find pos x (mid + 1) hi
+  else find pos x lo mid
+
 (** [sddmm coo am bm ~kk] computes the sampled dense-dense product
     O(i,j) = S(i,j) * sum_k A(i,k) * B(k,j) with row-major A (rows x kk)
-    and B (kk x cols); the result is the dense row-major rows x cols
-    array, zero wherever S has no stored entry. *)
+    and B (kk x cols), at S's sampling pattern only: one value per
+    distinct coordinate of S, in row-major order ({!Coo.positions}). *)
 let sddmm (coo : Coo.t) (am : float array) (bm : float array) ~kk :
     float array =
   if Coo.rank coo <> 2 then invalid_arg "Reference.sddmm: not a matrix";
@@ -43,17 +50,19 @@ let sddmm (coo : Coo.t) (am : float array) (bm : float array) ~kk :
     invalid_arg "Reference.sddmm: A shape mismatch";
   if Array.length bm <> kk * cols then
     invalid_arg "Reference.sddmm: B shape mismatch";
-  let o = Array.make (rows * cols) 0. in
+  let pos = Coo.positions coo in
+  let o = Array.make (Array.length pos) 0. in
   Array.iteri
     (fun idx s ->
       let i = coo.Coo.crd.(0).(idx) and j = coo.Coo.crd.(1).(idx) in
+      let p = find pos ((i * cols) + j) 0 (Array.length pos) in
       (* Accumulate in k order with the sample factored into each term,
          matching the lowered loop (out += S*A*B per k) bit for bit. *)
-      let acc = ref o.((i * cols) + j) in
+      let acc = ref o.(p) in
       for k = 0 to kk - 1 do
         acc := !acc +. (s *. am.((i * kk) + k) *. bm.((k * cols) + j))
       done;
-      o.((i * cols) + j) <- !acc)
+      o.(p) <- !acc)
     coo.Coo.vals;
   o
 

@@ -14,7 +14,10 @@ val spmm : Coo.t -> float array -> n:int -> float array
 
 (** [sddmm coo am bm ~kk] computes the sampled dense-dense product
     O(i,j) = S(i,j) * sum_k A(i,k) * B(k,j) with row-major A (rows x kk)
-    and B (kk x cols), dense row-major output. *)
+    and B (kk x cols). The result holds S's sampling pattern only: one
+    value per distinct coordinate of S, in row-major order — the
+    positions {!Coo.positions} lists — so it never allocates rows x cols.
+    @raise Invalid_argument on shape mismatch. *)
 val sddmm : Coo.t -> float array -> float array -> kk:int -> float array
 
 (** [ttv coo c] computes the rank-3 contraction a(i,j) = B(i,j,k) c(k),

@@ -68,7 +68,9 @@ let st_lat = 1
    47 WHILE_NEXT w cond                  3
    48 WHILE_EXIT w                       2
    49 IF       cv else                   3
-   50 JUMP     t                         2 *)
+   50 JUMP     t                         2
+   51 LOADP    d ix bid base eb n        7
+   52 STOREP   bid ix v base eb n        7 *)
 
 let op_halt = 0
 let op_const_i = 1
@@ -101,6 +103,8 @@ let op_while_next = 47
 let op_while_exit = 48
 let op_if = 49
 let op_jump = 50
+let op_loadp = 51
+let op_storep = 52
 
 (* Carried-value plumbing, staged exactly as in Compile: vids of
    destinations and sources plus per-slot float-ness. *)
@@ -149,6 +153,7 @@ type prog = {
   p_bi : int array array;         (* bid -> RI backing array, or [||] *)
   p_bf : float array array;       (* bid -> RF backing array, or [||] *)
   p_bb : Bytes.t array;           (* bid -> RB backing bytes, or empty *)
+  p_bp : Runtime.pattern array;   (* bid -> RP pattern, or an empty one *)
   p_bname : string array;         (* bid -> buffer name (fault messages) *)
   p_bounds : Runtime.bound array; (* kind-mismatch store fallback *)
 }
@@ -197,13 +202,14 @@ let add_while e info =
   e.e_nwhiles <- i + 1;
   i
 
-type buf_kind = KI | KF | KB
+type buf_kind = KI | KF | KB | KP
 
 let kind_of (b : Runtime.bound) =
   match b.Runtime.data with
   | Runtime.RI _ -> KI
   | Runtime.RF _ -> KF
   | Runtime.RB _ -> KB
+  | Runtime.RP _ -> KP
 
 let ibin_code = function
   | Ir.Iadd -> op_iadd
@@ -271,7 +277,11 @@ let compile (fn : Ir.func) ~(bufs : Runtime.bound array) : prog =
     | Ir.Load (buf, idx) ->
       let b = bufs.(buf.Ir.bid) in
       emit e
-        (match kind_of b with KI -> op_loadi | KF -> op_loadf | KB -> op_loadb);
+        (match kind_of b with
+         | KI -> op_loadi
+         | KF -> op_loadf
+         | KB -> op_loadb
+         | KP -> op_loadp);
       emit e d; emit e idx.Ir.vid; emit e buf.Ir.bid;
       emit e b.Runtime.base; emit e b.Runtime.ebytes;
       emit e (Runtime.length_of b.Runtime.data)
@@ -295,28 +305,21 @@ let compile (fn : Ir.func) ~(bufs : Runtime.bound array) : prog =
     | Ir.Store (buf, idx, v) ->
       let b = bufs.(buf.Ir.bid) in
       let isf = v.Ir.vty = Ir.F64 in
-      (match (kind_of b, isf) with
-       | KF, true ->
-         emit e op_storef;
-         emit e buf.Ir.bid; emit e idx.Ir.vid; emit e v.Ir.vid;
-         emit e b.Runtime.base; emit e b.Runtime.ebytes;
-         emit e (Runtime.length_of b.Runtime.data)
-       | KI, false ->
-         emit e op_storei;
-         emit e buf.Ir.bid; emit e idx.Ir.vid; emit e v.Ir.vid;
-         emit e b.Runtime.base; emit e b.Runtime.ebytes;
-         emit e (Runtime.length_of b.Runtime.data)
-       | KB, false ->
-         emit e op_storeb;
-         emit e buf.Ir.bid; emit e idx.Ir.vid; emit e v.Ir.vid;
-         emit e b.Runtime.base; emit e b.Runtime.ebytes;
-         emit e (Runtime.length_of b.Runtime.data)
-       | _, _ ->
-         (* Kind mismatch: defer to Runtime.write for the same fault. *)
-         emit e op_storeg;
-         emit e buf.Ir.bid; emit e idx.Ir.vid; emit e v.Ir.vid;
-         emit e b.Runtime.base; emit e b.Runtime.ebytes;
-         emit e (if isf then 1 else 0))
+      let op =
+        match (kind_of b, isf) with
+        | KF, true -> op_storef
+        | KI, false -> op_storei
+        | KB, false -> op_storeb
+        | KP, true -> op_storep
+        (* Kind mismatch: defer to Runtime.write for the same fault. *)
+        | _, _ -> op_storeg
+      in
+      emit e op;
+      emit e buf.Ir.bid; emit e idx.Ir.vid; emit e v.Ir.vid;
+      emit e b.Runtime.base; emit e b.Runtime.ebytes;
+      emit e
+        (if op = op_storeg then Bool.to_int isf
+         else Runtime.length_of b.Runtime.data)
     | Ir.Prefetch p ->
       let b = bufs.(p.Ir.pbuf.Ir.bid) in
       emit e op_prefetch;
@@ -434,6 +437,12 @@ let compile (fn : Ir.func) ~(bufs : Runtime.bound array) : prog =
         (fun b ->
           match b.Runtime.data with Runtime.RB s -> s | _ -> Bytes.empty)
         bufs;
+    p_bp =
+      (let empty = Runtime.pattern ~len:0 [||] in
+       Array.map
+         (fun b ->
+           match b.Runtime.data with Runtime.RP p -> p | _ -> empty)
+         bufs);
     p_bname = Array.map (fun b -> b.Runtime.buf.Ir.bname) bufs;
     p_bounds = bufs }
 
@@ -580,11 +589,11 @@ let run ?slice ?(width = 3) ?(rob_size = 64) ?(branch_miss = 6) (p : prog)
   let ienv = st.ienv and fenv = st.fenv and ready = st.ready in
   let fpool = p.p_fpool in
   let loops = p.p_loops and whiles = p.p_whiles in
-  let bi = p.p_bi and bf = p.p_bf and bb = p.p_bb in
+  let bi = p.p_bi and bf = p.p_bf and bb = p.p_bb and bp = p.p_bp in
   let bname = p.p_bname and bounds = p.p_bounds in
   let mem = st.mem in
   let[@inline] opnd k = Array.unsafe_get code k in
-  (* The load bodies (LOADI/LOADF/LOADB) are written out at each opcode
+  (* The load bodies (LOADI/LOADF/LOADB/LOADP) are written out at each opcode
      rather than shared through a helper: classic ocamlopt does not
      inline a local function into the dispatch loop. Each is the exact
      Interp ordering: issue on the index, present the (possibly OOB)
@@ -1077,6 +1086,52 @@ let run ?slice ?(width = 3) ?(rob_size = 64) ?(branch_miss = 6) (p : prog)
       if Array.unsafe_get ienv cv <> 0 then go (pc + 3)
       else go (opnd (pc + 2))
     | 50 (* JUMP *) -> go (opnd (pc + 1))
+    | 51 (* LOADP *) ->
+      st.loads <- st.loads + 1;
+      let d = opnd (pc + 1) and ix = opnd (pc + 2) in
+      let i = Array.unsafe_get ienv ix in
+      let t = issue_at st (Array.unsafe_get ready ix) in
+      let done_at =
+        mem.Interp.m_load ~pc:d ~addr:(opnd (pc + 4) + (i * opnd (pc + 5)))
+          ~at:t
+      in
+      retire st done_at;
+      if i < 0 || i >= opnd (pc + 6) then
+        Runtime.fault "load %s[%d] out of bounds [0, %d)"
+          (Array.unsafe_get bname (opnd (pc + 3))) i (opnd (pc + 6));
+      let p = Array.unsafe_get bp (opnd (pc + 3)) in
+      let k = Runtime.pattern_find p i in
+      if k >= 0 then
+        Array.unsafe_set fenv d (Array.unsafe_get p.Runtime.p_vals k)
+      else Array.unsafe_set fenv d 0.;
+      Array.unsafe_set ready d done_at;
+      go (pc + 7)
+    | 52 (* STOREP *) ->
+      st.stores <- st.stores + 1;
+      let bid = opnd (pc + 1) and ix = opnd (pc + 2) and v = opnd (pc + 3) in
+      let i = Array.unsafe_get ienv ix in
+      let t =
+        issue_at st
+          (imax (Array.unsafe_get ready ix) (Array.unsafe_get ready v))
+      in
+      st.mem.Interp.m_store ~pc:(bid lor 0x10000)
+        ~addr:(opnd (pc + 4) + (i * opnd (pc + 5)))
+        ~at:t;
+      retire st (t + st_lat);
+      if i < 0 || i >= opnd (pc + 6) then
+        Runtime.fault "store %s[%d] out of bounds [0, %d)"
+          (Array.unsafe_get bname bid) i (opnd (pc + 6));
+      let p = Array.unsafe_get bp bid in
+      let k = Runtime.pattern_find p i in
+      (* Outside the pattern only a zero may be stored (BSR block padding
+         stores 0 x dot); the fault re-reads the register so the float is
+         boxed on that path alone. *)
+      if k >= 0 then
+        Array.unsafe_set p.Runtime.p_vals k (Array.unsafe_get fenv v)
+      else if Array.unsafe_get fenv v <> 0. then
+        Runtime.outside_pattern (Array.unsafe_get bname bid) i
+          (Array.unsafe_get fenv v);
+      go (pc + 7)
     | _ -> assert false
   in
   go 0;

@@ -185,6 +185,13 @@ let run ?slice ?(width = 3) ?(rob_size = 64) ?(branch_miss = 6)
            Runtime.fault "load %s[%d] out of bounds [0, %d)" buf.Ir.bname i
              (Bytes.length s);
          ienv.(v.Ir.vid) <- Bytes.get_uint8 s i;
+         ready.(v.Ir.vid) <- done_at
+       | Runtime.RP p ->
+         if i < 0 || i >= p.Runtime.p_len then
+           Runtime.fault "load %s[%d] out of bounds [0, %d)" buf.Ir.bname i
+             p.Runtime.p_len;
+         let k = Runtime.pattern_find p i in
+         fenv.(v.Ir.vid) <- (if k >= 0 then p.Runtime.p_vals.(k) else 0.);
          ready.(v.Ir.vid) <- done_at)
     | Ir.Dim buf ->
       let t = simple_instr 0 in

@@ -167,6 +167,25 @@ let sorted_dedup ?perm t =
   Array.iteri (fun l d -> crd.(d) <- trim keys.(l)) perm;
   { dims = Array.copy t.dims; crd; vals = trim vals }
 
+(** [positions t] is the sorted array of the distinct row-major dense
+    positions [i * cols + j] of a matrix's entries: one radix sort of the
+    positions as single keys, then an in-place dedup. *)
+let positions t =
+  if rank t <> 2 then invalid_arg "Coo.positions: not a matrix";
+  let n = nnz t and cols = t.dims.(1) in
+  let ci = t.crd.(0) and cj = t.crd.(1) in
+  let keys = [| Array.init n (fun k -> (ci.(k) * cols) + cj.(k)) |] in
+  ignore (radix_sort keys (Array.make n 0.) [| t.dims.(0) * cols |]);
+  let key = keys.(0) in
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || key.(k) <> key.(k - 1) then begin
+      key.(!m) <- key.(k);
+      incr m
+    end
+  done;
+  if !m = n then key else Array.sub key 0 !m
+
 (** [to_dense t] materialises a row-major dense array. *)
 let to_dense t =
   let total = Array.fold_left ( * ) 1 t.dims in

@@ -42,6 +42,13 @@ val of_triples : rows:int -> cols:int -> (int * int * float) list -> t
     element order, bit for bit. *)
 val sorted_dedup : ?perm:int array -> t -> t
 
+(** [positions t] is the sorted array of the distinct row-major dense
+    positions [i * cols + j] of a matrix's stored entries: the sampling
+    pattern of an SDDMM over [t]. O(nnz) time and space, none of it of
+    dense size.
+    @raise Invalid_argument if [t] is not a matrix. *)
+val positions : t -> int array
+
 (** [to_dense t] materialises a row-major dense array of the full shape. *)
 val to_dense : t -> float array
 

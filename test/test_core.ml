@@ -383,6 +383,99 @@ let test_reference_binary () =
   let a = Reference.spmv_binary coo [| 1; 0 |] in
   check "binary" true (a = [| 1; 0 |])
 
+(* SDDMM's reference holds one value per distinct coordinate of S, in
+   row-major order, duplicates accumulated into their coordinate. *)
+let test_reference_sddmm () =
+  let coo =
+    Coo.of_triples ~rows:2 ~cols:3 [ (1, 2, 1.); (0, 1, 2.); (1, 2, 1.) ]
+  in
+  (* A = [1 2; 3 4] (2 x kk), C = [1 1 1; 1 2 3] (kk x 3), kk = 2. *)
+  let o =
+    Reference.sddmm coo [| 1.; 2.; 3.; 4. |] [| 1.; 1.; 1.; 1.; 2.; 3. |]
+      ~kk:2
+  in
+  Alcotest.(check (array (float 1e-12))) "sddmm" [| 10.; 30. |] o;
+  check "positions" true (Coo.positions coo = [| 1; 5 |])
+
+(* SDDMM's output follows S's pattern: [out_f] holds one value per
+   distinct coordinate of S, in row-major order, each equal to what the
+   same program computes into a dense O, with the same report; a warm
+   [Prep.exec] repeats the first; [check_sddmm] judges both forms. *)
+let test_sddmm_sampled_output () =
+  let coo =
+    Generate.power_law ~seed:9 ~rows:90 ~cols:70 ~avg_deg:5 ~alpha:2.0 ()
+  in
+  let rows = coo.Coo.dims.(0) and cols = coo.Coo.dims.(1) and kk = 3 in
+  let enc = Encoding.csr () and variant = Pipeline.Asap Asap.default in
+  let c = Pipeline.compile (Asap_lang.Kernel.sddmm ~enc ()) variant in
+  let dense_f n =
+    Array.init n (fun i -> 1.0 +. (float_of_int (i mod 97) /. 97.))
+  in
+  let o = Array.make (rows * cols) 0. in
+  let bufs =
+    Asap_core.Bindings.storage_bufs c.Pipeline.cc
+      (Asap_tensor.Storage.pack enc coo) ~binary:false
+      ~dense:
+        [ ("A", Asap_sim.Runtime.RF (dense_f (rows * kk)));
+          ("C", Asap_sim.Runtime.RF (dense_f (kk * cols)));
+          ("O", Asap_sim.Runtime.RF o) ]
+  in
+  let scalars =
+    Asap_core.Bindings.scalar_args c.Pipeline.cc ~extents:[| rows; cols; kk |]
+  in
+  let dense_report =
+    Exec.run_prepared (Exec.prepare machine c.Pipeline.fn ~bufs) ~scalars
+  in
+  let p = Driver.Prep.make (cfg ~n:kk variant) (Driver.Sddmm enc) coo in
+  let first = Driver.Prep.exec p in
+  let out = Option.get first.Driver.out_f |> Array.copy in
+  let second = Driver.Prep.exec p in
+  check "second exec = first" true
+    (second.Driver.out_f = Some out
+     && second.Driver.report = first.Driver.report);
+  check "report = dense binding's" true (first.Driver.report = dense_report);
+  let d = Coo.sorted_dedup coo in
+  let at k = (d.Coo.crd.(0).(k) * cols) + d.Coo.crd.(1).(k) in
+  check "positions row-major, distinct" true
+    (Coo.positions coo = Array.init (Coo.nnz d) at);
+  check "out_f = dense O at S's coordinates, row-major" true
+    (out = Array.init (Coo.nnz d) (fun k -> o.(at k)));
+  check "check_sddmm sampled" true (Driver.check_sddmm coo ~kk first < 1e-9);
+  let dense = { first with Driver.out_f = Some o } in
+  check "check_sddmm dense" true (Driver.check_sddmm coo ~kk dense < 1e-9);
+  (* A nonzero outside the pattern is an error in the dense form. *)
+  let outside =
+    let rec go x k =
+      if k < Coo.nnz d && at k = x then go (x + 1) (k + 1) else x
+    in
+    go 0 0
+  in
+  o.(outside) <- 1.;
+  check "check_sddmm dense, stray nonzero" true
+    (Driver.check_sddmm coo ~kk dense >= 1.)
+
+(* [Prep.make] for SDDMM allocates O(nnz) words: no dense d0 x d1 output
+   (25M words on this matrix when O was dense). *)
+let test_sddmm_prep_make_words () =
+  let coo =
+    match Generate.of_spec "powerlaw:5000,4" with
+    | Ok coo -> coo
+    | Error e -> Alcotest.fail e
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  Gc.compact ();
+  let w0 = words () in
+  let p =
+    Driver.Prep.make (cfg (Pipeline.Asap Asap.default))
+      (Driver.Sddmm (Encoding.csr ())) coo
+  in
+  let w = words () -. w0 in
+  ignore (Sys.opaque_identity p);
+  check (Printf.sprintf "Prep.make %.0f words < 1M" w) true (w < 1e6)
+
 (* --- Workloads ----------------------------------------------------- *)
 
 let test_bindings_errors () =
@@ -591,6 +684,11 @@ let suite =
     Alcotest.test_case "reference spmv" `Quick test_reference_spmv;
     Alcotest.test_case "reference spmm" `Quick test_reference_spmm;
     Alcotest.test_case "reference binary" `Quick test_reference_binary;
+    Alcotest.test_case "reference sddmm" `Quick test_reference_sddmm;
+    Alcotest.test_case "sddmm sampled output" `Quick
+      test_sddmm_sampled_output;
+    Alcotest.test_case "sddmm prep make words" `Quick
+      test_sddmm_prep_make_words;
     Alcotest.test_case "bindings errors" `Quick test_bindings_errors;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng power law" `Quick test_rng_power_law_bounds;

@@ -257,6 +257,99 @@ let test_trap_fault_parity () =
     (fun () -> [ (store_buf, Runtime.RF (Array.make 2 0.)) ])
     []
 
+(* --- Pattern-backed buffers --------------------------------------------- *)
+
+(* SDDMM binds its output as a pattern buffer (Runtime.RP, LOADP/STOREP
+   in the bytecode engine). Both engines must agree on it exactly over
+   every format — bsr2x2 pads its blocks with zero stores outside the
+   pattern — variant and specialization, and on the 4-thread split
+   where the format has a dense top level; every output checks against
+   the reference. *)
+let test_differential_sddmm () =
+  let coo =
+    Generate.power_law ~seed:26 ~rows:120 ~cols:120 ~avg_deg:5 ~alpha:2.0 ()
+  in
+  let machine4 = Machine.gracemont_scaled ~cores:4 () in
+  let checked name cfg enc engine =
+    let r = Driver.run (cfg engine) (Driver.Sddmm enc) coo in
+    check (name ^ ": correct") true (Driver.check_sddmm coo ~kk:3 r < 1e-9);
+    r
+  in
+  List.iter
+    (fun enc ->
+      List.iter
+        (fun (vn, v) ->
+          List.iter
+            (fun specialize ->
+              let name =
+                Printf.sprintf "sddmm %s/%s%s" enc.Encoding.name vn
+                  (if specialize then " specialized" else "")
+              in
+              two_way name
+                (checked name (fun e -> cfg ~n:3 ~specialize e v) enc);
+              if enc.Encoding.levels.(0) = Encoding.Dense then
+                two_way (name ^ " x4")
+                  (checked name
+                     (fun e ->
+                       cfg ~threads:4 ~n:3 ~specialize ~machine:machine4 e v)
+                     enc))
+            [ false; true ])
+        variants)
+    [ Encoding.csr (); Encoding.csc (); Encoding.dcsr (); Encoding.coo ();
+      Encoding.bsr ~bh:2 ~bw:2 () ]
+
+(* A pattern buffer of dense length 8 holding positions 1 and 5. *)
+let pattern_buf () = Runtime.RP (Runtime.pattern ~len:8 [| 1; 5 |])
+
+let test_pattern_buffer () =
+  (* A nonzero store outside the pattern faults, naming the buffer; the
+     dense length bounds every access as it would an RF buffer. *)
+  let store_at i x =
+    let b = Builder.create () in
+    let o = Builder.buf b "O" Ir.EF64 in
+    Builder.store b o (Builder.index b i) (Builder.f64 b x);
+    (Builder.finish b "pattern_store", o)
+  in
+  let fn, o = store_at 3 2.5 in
+  same_outcome "store outside the pattern"
+    "fault: store O[3] = 2.5 outside the buffer's pattern" fn
+    (fun () -> [ (o, pattern_buf ()) ])
+    [];
+  let fn, o = store_at 8 2.5 in
+  same_outcome "store past the dense length"
+    "fault: store O[8] out of bounds [0, 8)" fn
+    (fun () -> [ (o, pattern_buf ()) ])
+    [];
+  (* Zero stores outside are no-ops, reads outside are zero, DIM is the
+     dense length, and stores inside land in the values array. *)
+  let fn, o =
+    let b = Builder.create () in
+    let o = Builder.buf b "O" Ir.EF64 in
+    Builder.store b o (Builder.index b 3) (Builder.f64 b (-0.));
+    Builder.store b o (Builder.index b 6) (Builder.f64 b 0.);
+    let x = Builder.load b o (Builder.index b 3) in
+    Builder.store b o (Builder.index b 5) (Builder.fadd b x (Builder.f64 b 1.5));
+    Builder.store b o (Builder.index b 1)
+      (Builder.cast b Ir.F64 (Builder.dim b o));
+    (Builder.finish b "pattern_rw", o)
+  in
+  List.iter
+    (fun engine ->
+      let data = pattern_buf () in
+      let (_ : Exec.report) =
+        Exec.run_prepared
+          (Exec.prepare ~engine machine fn ~bufs:[ (o, data) ])
+          ~scalars:[]
+      in
+      match data with
+      | Runtime.RP p ->
+        check
+          ("pattern values " ^ Exec.engine_to_string engine)
+          true
+          (p.Runtime.p_vals = [| 8.; 1.5 |])
+      | _ -> assert false)
+    [ `Interp; `Bytecode ]
+
 (* --- Carried values --------------------------------------------------- *)
 
 let test_carried_values () =
@@ -512,6 +605,8 @@ let suite =
     Alcotest.test_case "sliced prep" `Quick test_sliced_prep;
     Alcotest.test_case "trap and fault parity" `Quick test_trap_fault_parity;
     Alcotest.test_case "carried values" `Quick test_carried_values;
+    Alcotest.test_case "sddmm differential" `Quick test_differential_sddmm;
+    Alcotest.test_case "pattern buffer" `Quick test_pattern_buffer;
     Alcotest.test_case "variable-latency differential" `Quick
       test_variable_latency;
     Alcotest.test_case "pipeline pass differential" `Quick
